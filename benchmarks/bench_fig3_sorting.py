@@ -82,15 +82,15 @@ class TestFigure3Kernels:
 
 
 class Test2026Backends:
-    """The "2026 backends" companion curve (ROADMAP item 2).
+    """The "2026 hardware" companion curve.
 
-    Wall-clock throughput of the modern CPU sorter backends on the same
-    Fig. 3 workload (uniform random float32), plotted against the
-    modelled 2005 MSVC quicksort from the paper's Pentium IV baseline.
-    Each run is appended to ``BENCH_sorters.json`` for the CI gate.
+    Wall-clock throughput of the CPU sorter backend on the same Fig. 3
+    workload (uniform random float32), plotted against the modelled
+    2005 MSVC quicksort from the paper's Pentium IV baseline.  Each run
+    is appended to ``BENCH_sorters.json`` for the CI gate.
     """
 
-    BACKENDS = ("cpu-quicksort", "cpu-samplesort", "cpu-radix")
+    BACKENDS = ("cpu-quicksort",)
 
     @pytest.fixture(scope="class")
     def table(self):

@@ -27,7 +27,9 @@ single-process pool over the identical stream.
 
 Asserted claims: >= 2x modelled speedup at 4 workers, monotone
 improvement with worker count, and bit-identical answers to the
-inline baseline at every worker count.
+inline baseline at every worker count.  The timed uniform stream has
+no heavy hitter, so the identity check runs again, untimed, on a Zipf
+stream whose inline answer must be non-empty.
 """
 
 import time
@@ -36,7 +38,7 @@ import pytest
 
 from repro.bench.report import Table
 from repro.service import MpShardedMiner, ShardedMiner
-from repro.streams import uniform_stream
+from repro.streams import GENERATORS, uniform_stream
 
 from conftest import emit, scaled
 
@@ -48,6 +50,8 @@ EPS = 1e-3
 CHUNK = 8_192
 WORKER_COUNTS = [1, 2, 4]
 SUPPORT = 0.01
+# The skewed identity stream: 13 heavy hitters at SUPPORT.
+IDENTITY_ELEMENTS = 48_000
 
 
 def _stream():
@@ -128,3 +132,31 @@ class TestMpScaling:
         # slice is a few milliseconds and scheduler jitter can nudge it
         # under the parent's transport share.
         assert results[4]["transport"] < results[4]["total_busy"]
+
+
+class TestMpZipfIdentity:
+    @pytest.fixture(scope="class")
+    def answers(self):
+        data = GENERATORS["zipf"](IDENTITY_ELEMENTS, seed=55)
+        inline = ShardedMiner("frequency", eps=EPS, num_shards=1,
+                              backend="cpu")
+        _ingest_all(inline, data)
+        answers = {"inline": inline.frequent_items(SUPPORT)}
+        for workers in WORKER_COUNTS:
+            miner = MpShardedMiner("frequency", eps=EPS,
+                                   num_shards=workers, backend="cpu")
+            try:
+                _ingest_all(miner, data)
+                answers[workers] = miner.frequent_items(SUPPORT)
+            finally:
+                miner.close()
+        return answers
+
+    def test_inline_answer_is_not_empty(self, answers):
+        assert answers["inline"], "the identity check would compare []"
+
+    def test_answers_identical_to_inline(self, answers):
+        for workers in WORKER_COUNTS:
+            assert answers[workers] == answers["inline"], (
+                f"{workers}-worker zipf answers diverged from the inline "
+                "pool")

@@ -21,7 +21,9 @@ exposed core where every process time-slices, and TCP framing adds a
 per-batch cost shared memory does not pay.  The asserted claims are
 the ones that must hold anywhere: bit-identical answers to the inline
 pool at every worker count, zero lost elements through a SIGKILL, and
-a recovery that actually exercised restart + replay.
+a recovery that actually exercised restart + replay.  The timed
+uniform stream has no heavy hitter, so the identity check runs again,
+untimed, on a Zipf stream whose inline answer must be non-empty.
 """
 
 import os
@@ -32,7 +34,7 @@ import pytest
 
 from repro.bench.report import Table, write_bench_json
 from repro.service import NetShardedMiner, ServicePolicies, ShardedMiner
-from repro.streams import uniform_stream
+from repro.streams import GENERATORS, uniform_stream
 
 from conftest import emit, scaled
 
@@ -43,6 +45,8 @@ EPS = 1e-3
 CHUNK = 4_096
 WORKER_COUNTS = [1, 2, 4]
 SUPPORT = 0.01
+# The skewed identity stream: 13 heavy hitters at SUPPORT.
+IDENTITY_ELEMENTS = 48_000
 # Frequent snapshots keep the replay log short for the scaling series.
 POLICIES = ServicePolicies(snapshot_every=16)
 # The recovery series instead pushes the snapshot cadence past the
@@ -194,3 +198,32 @@ class TestNetRecovery:
     def test_no_elements_lost_through_sigkill(self, results):
         assert results["lost_elements"] == 0
         assert results["processed"] == results["expected"]
+
+
+class TestNetZipfIdentity:
+    @pytest.fixture(scope="class")
+    def answers(self):
+        data = GENERATORS["zipf"](IDENTITY_ELEMENTS, seed=55)
+        inline = ShardedMiner("frequency", eps=EPS, num_shards=1,
+                              backend="cpu")
+        _ingest_all(inline, data)
+        answers = {"inline": inline.frequent_items(SUPPORT)}
+        for workers in WORKER_COUNTS:
+            miner = NetShardedMiner("frequency", eps=EPS,
+                                    num_shards=workers, backend="cpu",
+                                    policies=POLICIES)
+            try:
+                _ingest_all(miner, data)
+                answers[workers] = miner.frequent_items(SUPPORT)
+            finally:
+                miner.close()
+        return answers
+
+    def test_inline_answer_is_not_empty(self, answers):
+        assert answers["inline"], "the identity check would compare []"
+
+    def test_answers_identical_to_inline(self, answers):
+        for workers in WORKER_COUNTS:
+            assert answers[workers] == answers["inline"], (
+                f"{workers}-worker zipf answers diverged from the inline "
+                "pool")

@@ -21,15 +21,8 @@ Built-in names:
     buffered configuration).
 ``cpu`` / ``cpu-quicksort``
     The instrumented CPU quicksort baseline.  Honours ``cpu_speedup``
-    (1.0 = MSVC build, 1.5 = the paper's Intel build).
-``cpu-samplesort``
-    The 2026 generation: vectorized splitter-based sample sort
-    (numpy sample/searchsorted bucketing, per-bucket ``np.sort``,
-    batched across equal-length windows).  Honours ``bucket_size``.
-``cpu-radix``
-    The 2026 generation: LSD radix sort on canonicalized uint32 bit
-    patterns of the float keys (negatives/``-0.0``/NaN handled
-    explicitly), whole batches sorted in one combined pass.
+    (1.0 = MSVC build, 1.5 = the paper's Intel build).  Its wall clock
+    is ``np.sort``; the cost model charges the 2005 quicksort.
 
 Custom backends register a factory::
 
@@ -54,8 +47,6 @@ from typing import Any, Callable
 from .errors import BackendError
 from .sorting.cpu import InstrumentedCpuSorter
 from .sorting.gpu_sorter import GpuSorter
-from .sorting.radix import RadixSorter
-from .sorting.samplesort import DEFAULT_BUCKET_SIZE, VectorizedSampleSorter
 
 __all__ = [
     "cpu_fallback_for",
@@ -124,11 +115,10 @@ def cpu_fallback_for(sorter, *, cpu_speedup: float = 1.0):
     The service's circuit breaker degrades a faulting shard to a
     baseline sorter with identical answers, so the swap changes only
     the cost profile.  A backend earns a fallback by declaring a
-    ``degrades_to`` registry name (the modern CPU sorters name the
-    quicksort baseline); the simulated-GPU sorter keeps its historical
-    implicit CPU fallback.  A sorter already on the baseline, or a
-    custom backend with unknown semantics, has nowhere safe to degrade
-    to — the caller must escalate instead.
+    ``degrades_to`` registry name; the simulated-GPU sorter keeps its
+    historical implicit CPU fallback.  A sorter already on the
+    baseline, or a custom backend with unknown semantics, has nowhere
+    safe to degrade to — the caller must escalate instead.
     """
     target = getattr(sorter, "degrades_to", None)
     if target is None and isinstance(sorter, GpuSorter):
@@ -153,19 +143,9 @@ def _cpu_factory(cpu_speedup: float = 1.0, **_ignored):
     return InstrumentedCpuSorter(speedup=cpu_speedup)
 
 
-def _samplesort_factory(bucket_size: int = DEFAULT_BUCKET_SIZE, **_ignored):
-    return VectorizedSampleSorter(bucket_size=bucket_size)
-
-
-def _radix_factory(**_ignored):
-    return RadixSorter()
-
-
 register_sorter("gpu", _gpu_factory())
 register_sorter("gpu-pbsn", _gpu_factory())
 register_sorter("gpu-bitonic", _gpu_factory(network="bitonic"))
 register_sorter("gpu-16", _gpu_factory(precision=16))
 register_sorter("cpu", _cpu_factory)
 register_sorter("cpu-quicksort", _cpu_factory)
-register_sorter("cpu-samplesort", _samplesort_factory)
-register_sorter("cpu-radix", _radix_factory)

@@ -25,7 +25,6 @@ HTTP client for the standing-query control plane of an already-running
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -384,11 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="GPU-accelerated approximate stream mining "
                     "(SIGMOD 2005 reproduction)")
-    parser.add_argument("--compiled", action="store_true",
-                        help="use the compiled estimator inner loops "
-                             "(sets REPRO_COMPILED=1 so multiprocess "
-                             "and network workers inherit it; answers "
-                             "are bit-identical either way)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sort", help="sort a synthetic stream")
@@ -585,10 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.compiled:
-        # Through the environment rather than set_compiled() so worker
-        # processes spawned by the mp/net executors inherit the tier.
-        os.environ["REPRO_COMPILED"] = "1"
     return args.func(args)
 
 

@@ -35,13 +35,35 @@ import math
 
 import numpy as np
 
-from ... import compiled
 from ...errors import QueryError, SummaryError
 from ..distinct.kmv import hash_values
 from ..estimators import EstimatorCapabilities, register_estimator
 from ..histograms import WindowHistogram, histogram_from_sorted
 
-__all__ = ["CountMinSketch"]
+__all__ = ["CountMinSketch", "conservative_update"]
+
+
+def conservative_update(table: np.ndarray, columns: np.ndarray,
+                        freqs: np.ndarray) -> None:
+    """Apply one histogram's conservative update to ``table`` in place.
+
+    Histogram entry ``j`` (frequency ``freqs[j]``) raises each row's
+    counter at ``columns[row, j]`` to at most ``min(counters) + freq``.
+    Entries apply in order, since colliding entries see each other's
+    raises, so the walk is sequential.  A scalar loop over the cells
+    measured faster than fancy-indexing each entry's cells (DESIGN §16).
+    """
+    depth = table.shape[0]
+    for j in range(freqs.shape[0]):
+        low = table[0, columns[0, j]]
+        for row in range(1, depth):
+            cell = table[row, columns[row, j]]
+            if cell < low:
+                low = cell
+        raised = low + freqs[j]
+        for row in range(depth):
+            if table[row, columns[row, j]] < raised:
+                table[row, columns[row, j]] = raised
 
 
 class CountMinSketch:
@@ -87,11 +109,6 @@ class CountMinSketch:
         self.count = 0
         self.window_size = max(1, math.ceil(1.0 / eps))
         self._table = np.zeros((self.depth, self.width), dtype=np.int64)
-        # Sampled once at construction: the conservative-update walk is
-        # order-dependent across histogram entries, so both paths run it
-        # sequentially — the compiled kernel just strips the per-entry
-        # fancy-indexing overhead (numba-jitted when available).
-        self._compiled = compiled.compiled_active()
 
     # ------------------------------------------------------------------
     # construction
@@ -112,29 +129,12 @@ class CountMinSketch:
 
     def update_histogram(self, histogram: WindowHistogram) -> None:
         """Conservative update from one window's run-length histogram."""
-        if self._compiled:
-            values = np.asarray(histogram.values, dtype=np.float32)
-            if not values.size:
-                return
-            freqs_arr = np.asarray(histogram.counts, dtype=np.int64)
-            columns = self._row_indices(values)
-            self.count += int(freqs_arr.sum())
-            compiled.cm_conservative_update(self._table, columns, freqs_arr)
+        values = np.asarray(histogram.values, dtype=np.float32)
+        if not values.size:
             return
-        pairs = list(histogram)
-        if not pairs:
-            return
-        values = np.asarray([value for value, _ in pairs],
-                            dtype=np.float32)
-        freqs = [int(freq) for _, freq in pairs]
-        columns = self._row_indices(values)
-        rows = np.arange(self.depth)
-        self.count += sum(freqs)
-        for j, freq in enumerate(freqs):
-            cells = columns[:, j]
-            raised = int(self._table[rows, cells].min()) + freq
-            self._table[rows, cells] = np.maximum(
-                self._table[rows, cells], raised)
+        freqs = np.asarray(histogram.counts, dtype=np.int64)
+        self.count += int(freqs.sum())
+        conservative_update(self._table, self._row_indices(values), freqs)
 
     def update_batch(self, sorted_window: np.ndarray,
                      histogram: WindowHistogram | None = None) -> None:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ... import compiled
 from ...errors import InvariantViolation, QueryError, SummaryError
 from ..estimators import EstimatorCapabilities, register_estimator
 from ..histograms import WindowHistogram, histogram_from_sorted
@@ -66,18 +65,7 @@ class LossyCounting:
         self.window_size = max(1, math.ceil(1.0 / eps))
         self.count = 0
         self.windows_processed = 0
-        # The entry store has two representations with identical
-        # answers, chosen once at construction (the compiled knob never
-        # mutates a live summary): the historical insertion-ordered
-        # dict, or — when the compiled tier is active — sorted parallel
-        # arrays that repro.compiled's merge/compress kernels update
-        # without per-entry Python.
-        self._compiled = compiled.compiled_active()
         self._entries: dict[float, FrequencyEntry] = {}
-        if self._compiled:
-            self._values = np.empty(0, dtype=np.float32)
-            self._counts = np.empty(0, dtype=np.int64)
-            self._deltas = np.empty(0, dtype=np.int64)
         self._partial = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
@@ -142,23 +130,21 @@ class LossyCounting:
         merged.count = self.count + other.count
         merged.windows_processed = (self.windows_processed
                                     + other.windows_processed)
-        mine = {value: (count, delta)
-                for value, count, delta in self._entry_triples()}
-        theirs = {value: (count, delta)
-                  for value, count, delta in other._entry_triples()}
-        triples = []
-        for value, (count, delta) in mine.items():
-            twin = theirs.get(value)
+        for value, entry in self._entries.items():
+            twin = other._entries.get(value)
             if twin is None:
-                triples.append((value, count,
-                                delta + other.windows_processed))
+                merged._entries[value] = FrequencyEntry(
+                    count=entry.count,
+                    delta=entry.delta + other.windows_processed)
             else:
-                triples.append((value, count + twin[0], delta + twin[1]))
-        for value, (count, delta) in theirs.items():
-            if value not in mine:
-                triples.append((value, count,
-                                delta + self.windows_processed))
-        merged._load_triples(triples)
+                merged._entries[value] = FrequencyEntry(
+                    count=entry.count + twin.count,
+                    delta=entry.delta + twin.delta)
+        for value, entry in other._entries.items():
+            if value not in self._entries:
+                merged._entries[value] = FrequencyEntry(
+                    count=entry.count,
+                    delta=entry.delta + self.windows_processed)
         merged._compress()
         if self._partial.size or other._partial.size:
             merged.update(np.concatenate([self._partial, other._partial]))
@@ -197,13 +183,6 @@ class LossyCounting:
         self.count += histogram.total
         self.windows_processed += 1
         current_bucket = self.windows_processed
-        if self._compiled:
-            self._values, self._counts, self._deltas = compiled.lossy_merge(
-                self._values, self._counts, self._deltas,
-                np.asarray(histogram.values, dtype=np.float32),
-                np.asarray(histogram.counts, dtype=np.int64),
-                current_bucket)
-            return
         for value, freq in histogram:
             entry = self._entries.get(value)
             if entry is None:
@@ -215,48 +194,10 @@ class LossyCounting:
     def _compress(self) -> None:
         """Compress operation: drop entries that cannot matter any more."""
         bucket = self.windows_processed
-        if self._compiled:
-            self._values, self._counts, self._deltas = \
-                compiled.lossy_compress(self._values, self._counts,
-                                        self._deltas, bucket)
-            return
         doomed = [value for value, entry in self._entries.items()
                   if entry.count + entry.delta <= bucket]
         for value in doomed:
             del self._entries[value]
-
-    # ------------------------------------------------------------------
-    # the two entry-store representations (see __init__)
-    # ------------------------------------------------------------------
-    def _entry_triples(self) -> list[tuple[float, int, int]]:
-        """``(value, count, delta)`` rows of the active representation."""
-        if self._compiled:
-            return list(zip(self._values.tolist(), self._counts.tolist(),
-                            self._deltas.tolist()))
-        return [(value, entry.count, entry.delta)
-                for value, entry in self._entries.items()]
-
-    def _load_triples(self, triples) -> None:
-        """Replace the entry store with ``(value, count, delta)`` rows."""
-        if self._compiled:
-            values = np.asarray([value for value, _, _ in triples],
-                                dtype=np.float32)
-            order = np.argsort(values, kind="stable")
-            self._values = values[order]
-            self._counts = np.asarray([count for _, count, _ in triples],
-                                      dtype=np.int64)[order]
-            self._deltas = np.asarray([delta for _, _, delta in triples],
-                                      dtype=np.int64)[order]
-            return
-        self._entries = {
-            float(value): FrequencyEntry(count=int(count), delta=int(delta))
-            for value, count, delta in triples}
-
-    def _tracked_values(self) -> list[float]:
-        """Every entry key, as Python floats (exact float32 doubles)."""
-        if self._compiled:
-            return self._values.tolist()
-        return list(self._entries)
 
     # ------------------------------------------------------------------
     # serialization (checkpoint/restore)
@@ -266,11 +207,9 @@ class LossyCounting:
 
         Float32 stream values convert to doubles losslessly, so entry
         keys and the pending partial window round-trip exactly.  Entries
-        are emitted sorted by value: the interpreted tier stores them in
-        insertion order and the compiled tier in value order, and a
-        canonical snapshot lets checkpoints move between tiers (a
-        compiled worker's snapshot restores on an interpreted one with
-        an identical state).
+        are emitted sorted by value rather than in the store's insertion
+        order, so two summaries holding the same entries snapshot
+        identically whatever order their windows arrived in.
         """
         return {
             "version": 1,
@@ -278,9 +217,8 @@ class LossyCounting:
             "eps": self.eps,
             "count": self.count,
             "windows_processed": self.windows_processed,
-            "entries": sorted([float(value), int(count), int(delta)]
-                              for value, count, delta
-                              in self._entry_triples()),
+            "entries": sorted([float(value), entry.count, entry.delta]
+                              for value, entry in self._entries.items()),
             "partial": self._partial.tolist(),
         }
 
@@ -295,7 +233,9 @@ class LossyCounting:
         summary = cls(float(state["eps"]))
         summary.count = int(state["count"])
         summary.windows_processed = int(state["windows_processed"])
-        summary._load_triples(state["entries"])
+        summary._entries = {
+            float(value): FrequencyEntry(count=int(count), delta=int(delta))
+            for value, count, delta in state["entries"]}
         summary._partial = np.asarray(state["partial"], dtype=np.float32)
         summary.check_invariant()
         return summary
@@ -305,8 +245,6 @@ class LossyCounting:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         """Number of summary entries currently held."""
-        if self._compiled:
-            return int(self._values.size)
         return len(self._entries)
 
     @property
@@ -317,15 +255,8 @@ class LossyCounting:
     def estimate(self, value: float) -> int:
         """Estimated frequency of ``value`` (never overestimates)."""
         key = np.float32(value)
-        if self._compiled:
-            base = 0
-            if self._values.size:
-                pos = int(np.searchsorted(self._values, key))
-                if pos < self._values.size and self._values[pos] == key:
-                    base = int(self._counts[pos])
-        else:
-            entry = self._entries.get(key)
-            base = entry.count if entry is not None else 0
+        entry = self._entries.get(key)
+        base = entry.count if entry is not None else 0
         if self._partial.size:
             base += int(np.count_nonzero(self._partial == key))
         return base
@@ -338,7 +269,7 @@ class LossyCounting:
         value's entire count lives on one shard, so the global heavy-
         hitter set is a threshold filter over the union of these lists.
         """
-        candidates = set(self._tracked_values())
+        candidates = set(self._entries)
         if self._partial.size:
             candidates.update(np.unique(self._partial).tolist())
         return [(value, self.estimate(value)) for value in candidates]
@@ -359,7 +290,7 @@ class LossyCounting:
                 "threshold (s - eps) N would be vacuous")
         total = self.count + self.pending
         threshold = (support - self.eps) * total
-        candidates = set(self._tracked_values())
+        candidates = set(self._entries)
         if self._partial.size:
             candidates.update(np.unique(self._partial).tolist())
         items = [(value, self.estimate(value)) for value in candidates]
@@ -377,12 +308,12 @@ class LossyCounting:
     def check_invariant(self) -> None:
         """Raise :class:`InvariantViolation` on internal inconsistency."""
         bucket = self.windows_processed
-        for value, count, delta in self._entry_triples():
-            if count < 1:
+        for value, entry in self._entries.items():
+            if entry.count < 1:
                 raise InvariantViolation(f"entry {value} has count < 1")
-            if delta > max(0, bucket - 1):
+            if entry.delta > max(0, bucket - 1):
                 raise InvariantViolation(
-                    f"entry {value}: delta {delta} exceeds bucket "
+                    f"entry {value}: delta {entry.delta} exceeds bucket "
                     f"{bucket} - 1")
         if len(self) > max(16, 4 * self.space_bound()):
             raise InvariantViolation(

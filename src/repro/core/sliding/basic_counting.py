@@ -19,9 +19,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from ... import compiled
 from ...errors import InvariantViolation, QueryError, SummaryError
 
 
@@ -61,18 +58,7 @@ class DgimCounter:
         #: max buckets allowed per size before a merge.
         self.max_per_size = max(2, math.ceil(1.0 / eps) // 2 + 1)
         self.time = 0
-        # Two bucket representations with identical semantics, chosen
-        # once at construction: the historical deque of _Bucket objects
-        # (newest at the left), or — when the compiled tier is active —
-        # parallel timestamp/size arrays (oldest first, live range
-        # ``[0, _live)``) updated by repro.compiled's cascade kernels.
-        self._compiled = compiled.compiled_active()
-        if self._compiled:
-            self._ts = np.zeros(16, dtype=np.int64)
-            self._sz = np.zeros(16, dtype=np.int64)
-            self._live = 0
-        else:
-            self._buckets: deque[_Bucket] = deque()  # newest at the left
+        self._buckets: deque[_Bucket] = deque()  # newest at the left
 
     def update(self, bit: bool | int) -> None:
         """Append one stream element (truthy = a 1)."""
@@ -82,53 +68,13 @@ class DgimCounter:
             return
         self._append_one()
 
-    def update_bits(self, bits) -> None:
-        """Append a whole batch of stream elements at once.
-
-        Semantically identical to calling :meth:`update` per element;
-        in compiled mode the entire batch runs inside one kernel call,
-        which is where the per-element Python overhead goes away.
-        """
-        if not self._compiled:
-            for bit in bits:
-                self.update(bit)
-            return
-        arr = np.ascontiguousarray(
-            np.asarray(bits).ravel() != 0).astype(np.int64)
-        self._reserve(int(arr.sum()))
-        self._live, self.time = compiled.dgim_update_bits(
-            self._ts, self._sz, self._live, self.time, self.window,
-            self.max_per_size, arr)
-
-    def _reserve(self, extra: int) -> None:
-        """Grow the bucket arrays so ``extra`` appends cannot overflow."""
-        needed = self._live + max(1, extra)
-        if needed > self._ts.size:
-            capacity = max(needed, 2 * self._ts.size)
-            self._ts = np.concatenate(
-                [self._ts[:self._live],
-                 np.zeros(capacity - self._live, dtype=np.int64)])
-            self._sz = np.concatenate(
-                [self._sz[:self._live],
-                 np.zeros(capacity - self._live, dtype=np.int64)])
-
     def _expire(self) -> None:
-        if self._compiled:
-            self._live = compiled.dgim_expire(
-                self._ts, self._sz, self._live, self.time, self.window)
-            return
         while self._buckets and \
                 self._buckets[-1].timestamp <= self.time - self.window:
             self._buckets.pop()
 
     def _append_one(self) -> None:
         """Add a size-1 bucket at the current time and cascade merges."""
-        if self._compiled:
-            self._reserve(1)
-            self._live = compiled.dgim_append(
-                self._ts, self._sz, self._live, self.time,
-                self.max_per_size)
-            return
         self._buckets.appendleft(_Bucket(self.time, 1))
         self._cascade_merges()
 
@@ -149,27 +95,18 @@ class DgimCounter:
             self._buckets = deque(buckets)
             size *= 2
 
-    def _bucket_pairs(self) -> list[tuple[int, int]]:
-        """Live ``(timestamp, size)`` pairs, newest first."""
-        if self._compiled:
-            live = self._live
-            return [(int(self._ts[i]), int(self._sz[i]))
-                    for i in range(live - 1, -1, -1)]
-        return [(b.timestamp, b.size) for b in self._buckets]
-
     def estimate(self) -> int:
         """Approximate number of 1s among the last ``window`` elements."""
         self._expire()
-        pairs = self._bucket_pairs()
-        if not pairs:
+        if not self._buckets:
             return 0
-        total = sum(size for _, size in pairs)
-        return total - pairs[-1][1] // 2
+        total = sum(b.size for b in self._buckets)
+        return total - self._buckets[-1].size // 2
 
     def exact_upper_bound(self) -> int:
         """A certain upper bound on the true count (all live buckets)."""
         self._expire()
-        return sum(size for _, size in self._bucket_pairs())
+        return sum(b.size for b in self._buckets)
 
     def error_bound(self) -> float:
         """Deterministic relative counting error."""
@@ -177,24 +114,21 @@ class DgimCounter:
 
     def __len__(self) -> int:
         """Number of buckets currently held."""
-        if self._compiled:
-            return self._live
         return len(self._buckets)
 
     def check_invariant(self) -> None:
         """Validate bucket ordering, sizes, and per-size budgets."""
         previous_ts = math.inf
-        pairs = self._bucket_pairs()
-        for timestamp, size in pairs:
-            if size & (size - 1):
+        for bucket in self._buckets:
+            if bucket.size & (bucket.size - 1):
                 raise InvariantViolation(
-                    f"bucket size {size} not a power of two")
-            if timestamp > previous_ts:
+                    f"bucket size {bucket.size} not a power of two")
+            if bucket.timestamp > previous_ts:
                 raise InvariantViolation("buckets out of timestamp order")
-            previous_ts = timestamp
+            previous_ts = bucket.timestamp
         sizes: dict[int, int] = {}
-        for _, size in pairs:
-            sizes[size] = sizes.get(size, 0) + 1
+        for bucket in self._buckets:
+            sizes[bucket.size] = sizes.get(bucket.size, 0) + 1
         for size, count in sizes.items():
             if count > self.max_per_size + 1:
                 raise InvariantViolation(

@@ -23,9 +23,8 @@ from .export import parse_prometheus, to_json, to_prometheus
 from .http import MetricsServer
 from .metrics import (Counter, Gauge, Histogram, HistogramValue,
                       MetricsRegistry, Sample)
-from .sources import (compiled_state_samples, engine_report_samples,
-                      perf_counter_samples, query_metrics_samples,
-                      register_compiled_state, register_engine_reports,
+from .sources import (engine_report_samples, perf_counter_samples,
+                      query_metrics_samples, register_engine_reports,
                       register_perf_counters, register_query_metrics,
                       register_service_metrics, service_metrics_samples)
 from .spans import (NullCollector, Span, SpanCollector, aggregate,
@@ -46,12 +45,10 @@ __all__ = [
     "aggregate",
     "collecting",
     "collector",
-    "compiled_state_samples",
     "engine_report_samples",
     "parse_prometheus",
     "perf_counter_samples",
     "query_metrics_samples",
-    "register_compiled_state",
     "register_engine_reports",
     "register_query_metrics",
     "register_perf_counters",

@@ -20,11 +20,9 @@ from __future__ import annotations
 from .metrics import MetricsRegistry, Sample
 
 __all__ = [
-    "compiled_state_samples",
     "engine_report_samples",
     "perf_counter_samples",
     "query_metrics_samples",
-    "register_compiled_state",
     "register_engine_reports",
     "register_perf_counters",
     "register_query_metrics",
@@ -193,22 +191,6 @@ def query_metrics_samples(metrics) -> list[Sample]:
     return samples
 
 
-def compiled_state_samples(state) -> list[Sample]:
-    """Translate a compiled-tier state mapping.
-
-    ``state`` is duck-typed :func:`repro.compiled.compiled_state`
-    output: ``{"active": bool, "mode": "numba" | "numpy"}``.  The
-    headline gauge is ``repro_compiled_active`` — whether new
-    estimators run the compiled inner loops — with the JIT mode as a
-    label so dashboards can tell a numba deployment from the
-    pure-numpy fallback.
-    """
-    return [Sample(
-        "repro_compiled_active", "gauge", float(bool(state["active"])),
-        (("mode", str(state["mode"])),),
-        "compiled estimator inner loops selected for new estimators")]
-
-
 def _register(registry: MetricsRegistry, provider, translate,
               **kwargs) -> None:
     registry.register_source(lambda: translate(provider(), **kwargs))
@@ -243,13 +225,3 @@ def register_service_metrics(registry: MetricsRegistry, provider) -> None:
 def register_query_metrics(registry: MetricsRegistry, provider) -> None:
     """Pull front-end query metrics at scrape time."""
     _register(registry, provider, query_metrics_samples)
-
-
-def register_compiled_state(registry: MetricsRegistry, provider) -> None:
-    """Pull the compiled-tier knob at scrape time.
-
-    ``provider()`` returns a ``compiled_state``-shaped mapping, so the
-    gauge tracks env/CLI flips live without ``obs`` importing the
-    :mod:`repro.compiled` layer.
-    """
-    _register(registry, provider, compiled_state_samples)

@@ -59,7 +59,7 @@ def modelled_cost_per_element(kind: str, eps: float,
     window = max(1, math.ceil(1.0 / eps))
     summary_size = max(1, math.ceil(caps.entries_per_inverse_eps / eps))
     # The closed-form model knows the paper's two hardware classes;
-    # registry names (gpu-16, cpu-radix, ...) snap to their class.
+    # registry names (gpu-16, cpu-quicksort, ...) snap to their class.
     model_backend = "gpu" if str(backend).startswith("gpu") else "cpu"
     times = streaming_modelled_time(
         _NOMINAL_ELEMENTS, window, model_backend,

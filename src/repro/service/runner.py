@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..backends import registered_backends
-from ..compiled import compiled_state
 from ..core.estimators import default_kind_for, estimator_capabilities
 from ..errors import ServiceError
 from ..gpu.faults import FaultPlan
-from ..obs import (MetricsRegistry, MetricsServer, register_compiled_state,
-                   register_engine_reports, register_query_metrics,
-                   register_service_metrics)
+from ..obs import (MetricsRegistry, MetricsServer, register_engine_reports,
+                   register_query_metrics, register_service_metrics)
 from ..query import QueryControlServer, QueryFrontEnd, QuerySpec
 from ..streams.generators import GENERATORS
 from .async_service import StreamService
@@ -360,7 +358,6 @@ def run_service_demo(statistic: str = "quantile", n: int = 100_000,
         register_service_metrics(registry, lambda: service.metrics)
         register_engine_reports(registry, miner.shard_reports)
         register_query_metrics(registry, lambda: frontend.metrics)
-        register_compiled_state(registry, compiled_state)
         server = MetricsServer(
             registry, port=metrics_port,
             healthy=lambda: not service.metrics.failed_shards)

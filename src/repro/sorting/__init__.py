@@ -13,11 +13,7 @@ from .bitonic import (INSTRUCTIONS_PER_PIXEL, bitonic_sort_texture,
                       measured_instructions_per_pixel)
 from .cpu import (INSERTION_CUTOFF, InstrumentedCpuSorter, SortStats,
                   optimized_sort, quicksort)
-from .floatkeys import (float32_sort_keys, keys_to_float32,
-                        split_trailing_nans)
 from .gpu_sorter import GpuSorter, pack_channels, unpack_channels
-from .radix import RadixSorter, lsd_radix_sort
-from .samplesort import VectorizedSampleSorter, sample_sort
 from .merge import (merge_comparison_count, merge_sorted_runs,
                     merge_two_sorted)
 from .networks import (apply_comparators, bitonic_steps, is_power_of_two,
@@ -33,9 +29,7 @@ __all__ = [
     "INSTRUCTIONS_PER_PIXEL",
     "GpuSorter",
     "InstrumentedCpuSorter",
-    "RadixSorter",
     "SortStats",
-    "VectorizedSampleSorter",
     "apply_comparators",
     "bitonic_sort_texture",
     "bitonic_steps",
@@ -44,12 +38,9 @@ __all__ = [
     "compute_min",
     "compute_row_max",
     "compute_row_min",
-    "float32_sort_keys",
     "gpu_kth_largest",
     "gpu_kth_smallest",
     "is_power_of_two",
-    "keys_to_float32",
-    "lsd_radix_sort",
     "measured_instructions_per_pixel",
     "merge_comparison_count",
     "merge_sorted_runs",
@@ -65,8 +56,6 @@ __all__ = [
     "quickselect",
     "quicksort",
     "run_network",
-    "sample_sort",
     "sort_step",
-    "split_trailing_nans",
     "unpack_channels",
 ]

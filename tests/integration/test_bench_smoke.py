@@ -4,7 +4,9 @@ Benchmarks assert the paper's qualitative claims, so a refactor that
 breaks one silently loses coverage.  This test runs each
 ``benchmarks/bench_*.py`` in a subprocess with ``REPRO_BENCH_SMOKE=1``
 (tiny workload sizes, see ``benchmarks/conftest.py``) and requires it to
-pass end to end — imports, tables, and assertions included.
+pass end to end — imports, tables, and assertions included.  Bench
+JSON goes to a temporary ``REPRO_BENCH_ROOT``, so a run never appends to
+the committed ``BENCH_*.json`` baselines.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ def test_the_suite_was_discovered():
 
 
 @pytest.mark.parametrize("bench_file", BENCH_FILES)
-def test_benchmark_smoke(bench_file):
+def test_benchmark_smoke(bench_file, tmp_path):
     env = dict(os.environ)
     env["REPRO_BENCH_SMOKE"] = "1"
+    env["REPRO_BENCH_ROOT"] = str(tmp_path)
     env["PYTHONPATH"] = str(REPO / "src")
     result = subprocess.run(
         [sys.executable, "-m", "pytest", bench_file, "-q",

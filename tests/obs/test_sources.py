@@ -182,32 +182,3 @@ class TestQueryMetricsSamples:
         metrics.answers += 5
         series = _by_series(registry.snapshot())
         assert series[("repro_query_answers_total", ())].value == 45.0
-
-
-class TestCompiledStateSamples:
-    def test_gauge_reflects_state_and_mode_label(self):
-        from repro.obs import compiled_state_samples
-        off = compiled_state_samples({"active": False, "mode": "numpy"})
-        on = compiled_state_samples({"active": True, "mode": "numba"})
-        assert [(s.name, s.kind, s.value, s.labels) for s in off] == \
-            [("repro_compiled_active", "gauge", 0.0,
-              (("mode", "numpy"),))]
-        assert on[0].value == 1.0
-        assert on[0].labels == (("mode", "numba"),)
-
-    def test_registered_source_tracks_knob_flips(self):
-        from repro.compiled import compiled_state, set_compiled
-        from repro.obs import register_compiled_state
-        registry = MetricsRegistry()
-        register_compiled_state(registry, compiled_state)
-        try:
-            set_compiled(True)
-            series = _by_series(registry.snapshot())
-            (key,) = [k for k in series if k[0] == "repro_compiled_active"]
-            assert series[key].value == 1.0
-            set_compiled(False)
-            series = _by_series(registry.snapshot())
-            (key,) = [k for k in series if k[0] == "repro_compiled_active"]
-            assert series[key].value == 0.0
-        finally:
-            set_compiled(None)

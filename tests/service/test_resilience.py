@@ -9,7 +9,6 @@ from repro.errors import BusError, ServiceError, ShardFailedError
 from repro.gpu.faults import FaultPlan
 from repro.service import ShardedMiner
 from repro.service.resilience import CircuitBreaker, RetryPolicy
-from repro.sorting.cpu import InstrumentedCpuSorter
 
 
 class TestRetryPolicy:
@@ -216,71 +215,3 @@ class TestDispatchRetry:
         assert isinstance(exc_info.value.__cause__, BusError)
         # Nothing was lost: the chunk still sits buffered in the engine.
         assert pool.buffered == 4096
-
-
-class _FlakySorter:
-    """Stand-in primary that always raises a transient fault."""
-
-    name = "flaky"
-
-    def sort_batch(self, windows):
-        raise BusError("injected")
-
-
-MODERN_CPU_BACKENDS = ("cpu-samplesort", "cpu-radix")
-
-
-class TestModernBackendDegradation:
-    """The 2026 CPU backends degrade to the quicksort baseline.
-
-    ``degrades_to = "cpu"`` on the radix/sample-sort classes gives
-    every executor a guard fallback, so a faulting shard keeps
-    completing batches — on the baseline sorter, with identical
-    answers.
-    """
-
-    @pytest.mark.parametrize("backend", MODERN_CPU_BACKENDS)
-    def test_guards_carry_a_quicksort_fallback(self, backend):
-        pool = ShardedMiner("quantile", eps=0.05, num_shards=2,
-                            backend=backend, window_size=256)
-        assert all(isinstance(f, InstrumentedCpuSorter)
-                   for f in pool._fallback_sorters)
-
-    @pytest.mark.parametrize("backend", MODERN_CPU_BACKENDS)
-    def test_faulting_shard_degrades_with_no_data_loss(self, rng, backend):
-        pool = ShardedMiner("quantile", eps=0.05, num_shards=1,
-                            backend=backend, window_size=256,
-                            retry=RetryPolicy(max_attempts=2,
-                                              base_delay=1e-5))
-        # Swap in a flaky primary; the guard's fallback (built from the
-        # original backend's degrades_to) stays in place.
-        pool._miners[0].swap_sorter(_FlakySorter())
-        pool._guards[0].primary = pool._miners[0].sorter
-        data = rng.random(4096).astype(np.float32)
-        pool.ingest(data)
-        pool.drain()
-        shard = pool.metrics.shards[0]
-        assert shard.faults > 0
-        assert shard.degraded_batches > 0
-        assert pool.processed == data.size
-
-    @pytest.mark.parametrize("backend", MODERN_CPU_BACKENDS)
-    def test_degraded_answers_match_a_clean_quicksort_run(self, rng,
-                                                          backend):
-        data = rng.random(20_000).astype(np.float32)
-        degraded = ShardedMiner("quantile", eps=0.05, num_shards=2,
-                                backend=backend, window_size=256,
-                                retry=RetryPolicy(max_attempts=2,
-                                                  base_delay=1e-5))
-        for shard_id in range(2):
-            degraded._miners[shard_id].swap_sorter(_FlakySorter())
-            degraded._guards[shard_id].primary = \
-                degraded._miners[shard_id].sorter
-        clean = ShardedMiner("quantile", eps=0.05, num_shards=2,
-                             backend="cpu-quicksort", window_size=256)
-        for pool in (degraded, clean):
-            pool.ingest(data)
-            pool.drain()
-        assert degraded.metrics.faults > 0
-        for phi in (0.01, 0.25, 0.5, 0.75, 0.99):
-            assert degraded.quantile(phi) == clean.quantile(phi)

@@ -47,8 +47,6 @@ def _f16_roundtrip(arr: np.ndarray) -> np.ndarray:
 CONTRACTS: dict[str, Contract] = {
     "cpu": Contract(),
     "cpu-quicksort": Contract(),
-    "cpu-samplesort": Contract(),
-    "cpu-radix": Contract(),
     "gpu": Contract(finite_only=True),
     "gpu-pbsn": Contract(finite_only=True),
     "gpu-bitonic": Contract(finite_only=True),
@@ -194,7 +192,7 @@ def test_sort_batch_matches_per_window_np_sort(backend, windows):
 
 @pytest.mark.parametrize("backend", CPU_BACKENDS)
 def test_sort_batch_equal_length_windows(backend):
-    """The batched fast paths (stacked np.sort, packed radix keys)."""
+    """The batched fast path (one stacked np.sort)."""
     rng = np.random.default_rng(7)
     arrays = [rng.normal(size=512).astype(np.float32) for _ in range(32)]
     arrays[3][::5] = -0.0

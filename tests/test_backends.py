@@ -48,8 +48,7 @@ class TestResolve:
     def test_builtins_are_registered(self):
         names = registered_backends()
         for name in ("gpu", "gpu-pbsn", "gpu-bitonic", "gpu-16",
-                     "cpu", "cpu-quicksort", "cpu-samplesort",
-                     "cpu-radix"):
+                     "cpu", "cpu-quicksort"):
             assert name in names
         assert list(names) == sorted(names)
 
@@ -138,17 +137,6 @@ class TestCpuFallback:
         assert cpu_fallback_for(resolve_sorter("cpu")) is None
         assert cpu_fallback_for(NumpySorter()) is None
 
-    def test_modern_cpu_backends_degrade_to_quicksort(self):
-        # The 2026 backends declare degrades_to = "cpu": a faulting
-        # shard swaps them for the quicksort baseline with identical
-        # answers.
-        for name in ("cpu-samplesort", "cpu-radix"):
-            sorter = resolve_sorter(name)
-            assert sorter.degrades_to == "cpu"
-            fallback = cpu_fallback_for(sorter, cpu_speedup=2.0)
-            assert isinstance(fallback, InstrumentedCpuSorter)
-            assert fallback.cost_model.speedup == 2.0
-
     def test_degrades_to_attribute_drives_custom_fallback(
             self, scratch_registry):
         class DegradingSorter(NumpySorter):
@@ -193,8 +181,6 @@ class TestSingleConstructionPoint:
         SRC_ROOT / "backends.py",
         SRC_ROOT / "sorting" / "cpu.py",
         SRC_ROOT / "sorting" / "gpu_sorter.py",
-        SRC_ROOT / "sorting" / "radix.py",
-        SRC_ROOT / "sorting" / "samplesort.py",
     }
 
     def test_no_direct_sorter_construction_outside_backends(self):
@@ -210,8 +196,7 @@ class TestSingleConstructionPoint:
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute)
                         else None)
-                if name in ("GpuSorter", "InstrumentedCpuSorter",
-                            "RadixSorter", "VectorizedSampleSorter"):
+                if name in ("GpuSorter", "InstrumentedCpuSorter"):
                     offenders.append(
                         f"{path.relative_to(SRC_ROOT)}:{node.lineno}")
         assert not offenders, (

@@ -46,9 +46,6 @@ RULES: dict[str, tuple[str, ...]] = {
     "sorting": ("service", "bench", "query"),
     "gpu": ("service", "bench", "query"),
     "backends": ("service", "bench", "query"),
-    # the optional compiled tier sits beside core: estimators call into
-    # it, so it must never look up the stack.
-    "compiled": ("service", "bench", "query"),
     # obs is the leaf every layer may emit into; it must never look
     # back up the stack (its sources are duck-typed for exactly this).
     "obs": ("core", "streams", "sorting", "gpu", "backends", "service",

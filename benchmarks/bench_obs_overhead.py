@@ -3,14 +3,14 @@
 The whole point of ``repro trace`` is to reproduce Figure 4's stage
 breakdown from live spans; that is only honest if collection barely
 perturbs the workload.  This benchmark runs the Figure 4 kernel (upload,
-bitonic sort, readback at 16K elements) with the default
+PBSN sort, readback at 16K elements) with the default
 :class:`~repro.obs.NullCollector` and again under ``collecting()``, and
 asserts the enabled run is less than 10% slower.
 
 The measurements are interleaved (base, enabled, base, enabled, ...)
 and min-of-N so CPU frequency drift hits both sides equally.  The
 budget leaves headroom above the few-percent cost the collector
-actually adds: on a shared-CPU box the 85ms base wall jitters by
+actually adds: on a shared-CPU box the 5-8 ms base wall jitters by
 several percent between runs, and a budget cut to the measured
 overhead turns scheduler noise into failures.  A genuine regression —
 span bookkeeping growing to a multiple of its current cost — still

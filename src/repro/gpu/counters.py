@@ -42,9 +42,10 @@ class PerfCounters:
     pass_breakdown: dict[str, int] = field(default_factory=dict)
 
     def record_pass(self, fragments: int, *, blended: bool, bytes_per_texel: int,
-                    label: str = "pass") -> None:
-        """Account one rendering pass that produced ``fragments`` fragments."""
-        self.passes += 1
+                    label: str = "pass", passes: int = 1) -> None:
+        """Account ``passes`` rendering passes that produced ``fragments``
+        fragments between them (every count is linear in both)."""
+        self.passes += passes
         self.fragments += fragments
         if blended:
             self.blend_ops += fragments
@@ -53,7 +54,7 @@ class PerfCounters:
         # A blended fragment reads both the texel and the destination pixel.
         reads = 2 * fragments if blended else fragments
         self.bytes_read += reads * bytes_per_texel
-        self.pass_breakdown[label] = self.pass_breakdown.get(label, 0) + 1
+        self.pass_breakdown[label] = self.pass_breakdown.get(label, 0) + passes
 
     def record_upload(self, nbytes: int) -> None:
         """Account one CPU -> GPU transfer of ``nbytes`` bytes."""

@@ -15,6 +15,7 @@ Paper operation           Device method
 transfer texture to GPU     :meth:`upload_texture`
 ``Copy`` (Routine 4.1)      :meth:`copy_texture_to_framebuffer`
 enable blending + DrawQuad  :meth:`set_blend` + :meth:`draw_quad`
+one SortStep's DrawQuads    :meth:`draw_quads` (one gather + blend)
 copy frame buffer to tex    :meth:`copy_framebuffer_to_texture`
 readback sorted data        :meth:`readback_texture` / :meth:`readback_framebuffer`
 ==========================  ===================================
@@ -31,7 +32,7 @@ from .bus import Bus
 from .counters import PerfCounters
 from .framebuffer import FrameBuffer
 from .presets import AGP_8X, GEFORCE_6800_ULTRA, BusSpec, GpuSpec
-from .rasterizer import copy_texture, draw_quad
+from .rasterizer import QuadBatch, copy_texture, draw_quad, draw_quad_batch
 from .texture import BYTES_PER_TEXEL, CHANNELS, Texture2D
 from .timing import GpuCostModel, GpuTimeBreakdown
 
@@ -185,15 +186,28 @@ class GpuDevice:
         fragments = draw_quad(fb, texture, dst_rect, tex_rect, self.counters,
                               label)
         if collector().enabled:
-            # A sorting network issues thousands of passes per batch, so
-            # per-pass Span objects would blow the <5% overhead budget
-            # (bench_obs_overhead.py); accumulate and flush instead.
-            acc = self._pass_acc.get((label, fb.blend_op.value))
-            if acc is None:
-                self._pass_acc[(label, fb.blend_op.value)] = [1, fragments]
-            else:
-                acc[0] += 1
-                acc[1] += fragments
+            self._accumulate_passes(label, fb.blend_op.value, 1, fragments)
+        return fragments
+
+    def draw_quads(self, texture: Texture2D, batch: QuadBatch) -> int:
+        """Render a planned batch of quads as one gather + blend.
+
+        Equivalent to :meth:`set_blend` + :meth:`draw_quad` for each quad
+        of ``batch`` in turn (see
+        :func:`~repro.gpu.rasterizer.draw_quad_batch`).  The fault
+        injector is consulted once per quad, in quad order, before the
+        frame buffer or the counters change, so a faulted batch leaves
+        both as they were and a retry redraws it whole.
+        """
+        fb = self._require_framebuffer()
+        if self.fault_injector is not None:
+            for _ in range(batch.passes):
+                self.fault_injector.check("raster")
+        fragments = draw_quad_batch(fb, texture, batch, self.counters)
+        if collector().enabled:
+            for label, blend, passes, group_fragments in batch.groups:
+                self._accumulate_passes(label, blend.value, passes,
+                                        group_fragments)
         return fragments
 
     def copy_texture_to_framebuffer(self, texture: Texture2D) -> int:
@@ -203,13 +217,20 @@ class GpuDevice:
             self.fault_injector.check("raster")
         fragments = copy_texture(fb, texture, self.counters)
         if collector().enabled:
-            acc = self._pass_acc.get(("copy", "none"))
-            if acc is None:
-                self._pass_acc[("copy", "none")] = [1, fragments]
-            else:
-                acc[0] += 1
-                acc[1] += fragments
+            self._accumulate_passes("copy", "none", 1, fragments)
         return fragments
+
+    def _accumulate_passes(self, label: str, blend: str, passes: int,
+                           fragments: int) -> None:
+        # A sorting network issues thousands of passes per batch, so
+        # per-pass Span objects would blow the overhead budget
+        # (bench_obs_overhead.py); accumulate and flush instead.
+        acc = self._pass_acc.get((label, blend))
+        if acc is None:
+            self._pass_acc[(label, blend)] = [passes, fragments]
+        else:
+            acc[0] += passes
+            acc[1] += fragments
 
     def flush_pass_spans(self) -> None:
         """Emit one aggregated ``gpu.pass`` span per (label, blend) group.

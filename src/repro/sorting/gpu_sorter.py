@@ -182,6 +182,7 @@ class GpuSorter:
         longest = max((arr.size for arr in arrays), default=0)
         if longest == 0:
             self.last_counters = PerfCounters()
+            self.last_n = 0
             return [arr.copy() for arr in arrays]
         self.last_n = sum(int(arr.size) for arr in arrays)
         per_channel = next_power_of_two(longest)

@@ -23,11 +23,48 @@ aligned block, which in texture space is:
 
 from __future__ import annotations
 
-from ..errors import SortError
+from functools import lru_cache
+
+from ..errors import GpuError, SortError
 from ..gpu.blend import BlendOp
 from ..gpu.device import GpuDevice
+from ..gpu.rasterizer import Quad, QuadBatch, plan_quads
 from ..gpu.texture import Texture2D
 from .networks import is_power_of_two
+
+
+def _row_min_quad(offset: int, block_size: int, height: int) -> Quad:
+    half = block_size // 2
+    return Quad(dst_rect=(offset, 0, offset + half, height),
+                tex_rect=(offset + block_size, 0, offset + half, height),
+                blend=BlendOp.MIN, label="row_min")
+
+
+def _row_max_quad(offset: int, block_size: int, height: int) -> Quad:
+    half = block_size // 2
+    return Quad(dst_rect=(offset + half, 0, offset + block_size, height),
+                tex_rect=(offset + half, 0, offset, height),
+                blend=BlendOp.MAX, label="row_max")
+
+
+def _min_quad(offset: int, width: int, block_height: int) -> Quad:
+    half = block_height // 2
+    return Quad(dst_rect=(0, offset, width, offset + half),
+                tex_rect=(width, offset + block_height, 0, offset + half),
+                blend=BlendOp.MIN, label="min")
+
+
+def _max_quad(offset: int, width: int, block_height: int) -> Quad:
+    half = block_height // 2
+    return Quad(dst_rect=(0, offset + half, width, offset + block_height),
+                tex_rect=(width, offset + half, 0, offset),
+                blend=BlendOp.MAX, label="max")
+
+
+def _draw(device: GpuDevice, tex: Texture2D, quad: Quad) -> None:
+    device.set_blend(quad.blend)
+    device.draw_quad(tex, dst_rect=quad.dst_rect, tex_rect=quad.tex_rect,
+                     label=quad.label)
 
 
 def compute_row_min(device: GpuDevice, tex: Texture2D,
@@ -38,25 +75,13 @@ def compute_row_min(device: GpuDevice, tex: Texture2D,
     ``min(value, mirror)`` where the mirror of column ``c`` is
     ``2*offset + B - 1 - c``.
     """
-    half = block_size // 2
-    device.set_blend(BlendOp.MIN)
-    device.draw_quad(
-        tex,
-        dst_rect=(offset, 0, offset + half, height),
-        tex_rect=(offset + block_size, 0, offset + half, height),
-        label="row_min")
+    _draw(device, tex, _row_min_quad(offset, block_size, height))
 
 
 def compute_row_max(device: GpuDevice, tex: Texture2D,
                     offset: int, block_size: int, height: int) -> None:
     """``ComputeRowMax``: store per-row mirror maxima of one row block."""
-    half = block_size // 2
-    device.set_blend(BlendOp.MAX)
-    device.draw_quad(
-        tex,
-        dst_rect=(offset + half, 0, offset + block_size, height),
-        tex_rect=(offset + half, 0, offset, height),
-        label="row_max")
+    _draw(device, tex, _row_max_quad(offset, block_size, height))
 
 
 def compute_min(device: GpuDevice, tex: Texture2D,
@@ -67,47 +92,64 @@ def compute_min(device: GpuDevice, tex: Texture2D,
     half receives the minimum against the vertically-and-horizontally
     flipped second half.
     """
-    half = block_height // 2
-    device.set_blend(BlendOp.MIN)
-    device.draw_quad(
-        tex,
-        dst_rect=(0, offset, width, offset + half),
-        tex_rect=(width, offset + block_height, 0, offset + half),
-        label="min")
+    _draw(device, tex, _min_quad(offset, width, block_height))
 
 
 def compute_max(device: GpuDevice, tex: Texture2D,
                 offset: int, width: int, block_height: int) -> None:
     """``ComputeMax``: mirror maxima of one multi-row block."""
-    half = block_height // 2
-    device.set_blend(BlendOp.MAX)
-    device.draw_quad(
-        tex,
-        dst_rect=(0, offset + half, width, offset + block_height),
-        tex_rect=(width, offset + half, 0, offset),
-        label="max")
+    _draw(device, tex, _max_quad(offset, width, block_height))
+
+
+def step_quads(width: int, height: int, block_size: int) -> list[Quad]:
+    """The quads of one ``SortStep``, in Routine 4.4's drawing order.
+
+    Each is the quad the matching ``compute_*`` routine draws: the
+    row-block case (``block_size <= width``) or the multi-row case,
+    exactly as the paper's two-case optimisation splits them.
+    """
+    quads = []
+    if block_size <= width:
+        for i in range(width // block_size):
+            offset = i * block_size
+            quads.append(_row_min_quad(offset, block_size, height))
+            quads.append(_row_max_quad(offset, block_size, height))
+    else:
+        block_height = block_size // width
+        for i in range((width * height) // block_size):
+            offset = i * block_height
+            quads.append(_min_quad(offset, width, block_height))
+            quads.append(_max_quad(offset, width, block_height))
+    return quads
+
+
+@lru_cache(maxsize=256)
+def _step_batch(framebuffer_size: tuple[int, int],
+                texture_size: tuple[int, int],
+                width: int, height: int, block_size: int) -> QuadBatch:
+    # The key holds every input the quad checks read, so a cached batch
+    # is only ever reused where planning it again would pass the same
+    # checks.  Batches are immutable and O(W + H) each.
+    return plan_quads(step_quads(width, height, block_size),
+                      framebuffer_size, texture_size)
 
 
 def sort_step(device: GpuDevice, tex: Texture2D,
               width: int, height: int, block_size: int) -> None:
     """Routine 4.4 (``SortStep``): one PBSN step over the whole texture.
 
-    Dispatches to the row-block case (``block_size <= width``) or the
-    multi-row case, exactly as the paper's two-case optimisation does.
+    Draws :func:`step_quads` as one batch: every quad of a step samples
+    the same texture and writes its own part of the frame buffer, so the
+    device rasterizes them as one gather + blend while checking and
+    counting each quad as its own pass, exactly as drawing them one by
+    one with the ``compute_*`` routines would.
     """
-    if block_size <= width:
-        num_row_blocks = width // block_size
-        for i in range(num_row_blocks):
-            offset = i * block_size
-            compute_row_min(device, tex, offset, block_size, height)
-            compute_row_max(device, tex, offset, block_size, height)
-    else:
-        block_height = block_size // width
-        num_blocks = (width * height) // block_size
-        for i in range(num_blocks):
-            offset = i * block_height
-            compute_min(device, tex, offset, width, block_height)
-            compute_max(device, tex, offset, width, block_height)
+    fb = device.framebuffer
+    if fb is None:
+        raise GpuError("no frame buffer bound; call bind_framebuffer first")
+    batch = _step_batch((fb.width, fb.height), (tex.width, tex.height),
+                        width, height, block_size)
+    device.draw_quads(tex, batch)
 
 
 def pbsn_sort_texture(device: GpuDevice, tex: Texture2D) -> None:

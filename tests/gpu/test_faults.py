@@ -8,6 +8,7 @@ import pytest
 from repro.errors import BusError, RasterizationError
 from repro.gpu import FaultInjector, FaultPlan, GpuDevice
 from repro.gpu.faults import FAULT_OPS, TRANSIENT_GPU_ERRORS
+from repro.sorting import GpuSorter, pbsn_sort_texture, sort_step
 
 
 class TestFaultPlan:
@@ -154,3 +155,58 @@ class TestDeviceWiring:
 
     def test_transient_errors_tuple_matches_fault_ops(self):
         assert set(FAULT_OPS.values()) == set(TRANSIENT_GPU_ERRORS)
+
+
+class TestBatchedStepFaults:
+    """A PBSN step draws its quads as one batch; faults stay per quad.
+
+    64 values sort as a 4x4 texture per channel.  Raster operation 0 is
+    the Copy, 1-2 the two quads of the block-16 step, and 3-6 the four
+    quads of the block-8 step, so ``RASTER_FAULT`` lands on the second
+    quad of a four-quad step.
+    """
+
+    RASTER_FAULT = 4
+
+    def _values(self):
+        return np.random.default_rng(11).random(64).astype(np.float32)
+
+    def _faulty(self):
+        return GpuDevice(fault_injector=FaultInjector(
+            FaultPlan(at={"raster": (self.RASTER_FAULT,)})))
+
+    def test_faulted_step_changes_nothing(self):
+        texels = self._values().reshape(4, 4, 4)
+        faulty, clean = self._faulty(), GpuDevice()
+        faulty_tex = faulty.upload_texture(texels)
+        clean_tex = clean.upload_texture(texels)
+        faulty.bind_framebuffer(4, 4)
+        clean.bind_framebuffer(4, 4)
+        # The clean device runs exactly what precedes the faulted step.
+        clean.copy_texture_to_framebuffer(clean_tex)
+        sort_step(clean, clean_tex, 4, 4, 16)
+        clean.copy_framebuffer_to_texture(clean_tex)
+
+        with pytest.raises(RasterizationError):
+            pbsn_sort_texture(faulty, faulty_tex)
+        assert faulty.fault_injector.op_counts["raster"] \
+            == self.RASTER_FAULT + 1
+        assert faulty.framebuffer.read().tobytes() \
+            == clean.framebuffer.read().tobytes()
+        assert faulty.counters == clean.counters
+
+    def test_retried_sort_is_exact(self):
+        values = self._values()
+        sorter = GpuSorter(device=self._faulty())
+        with pytest.raises(RasterizationError):
+            sorter.sort(values)
+        assert sorter.device.fault_injector.op_counts["raster"] \
+            == self.RASTER_FAULT + 1
+        np.testing.assert_array_equal(sorter.sort(values), np.sort(values))
+
+    def test_one_raster_check_per_pass(self):
+        sorter = GpuSorter(device=GpuDevice(
+            fault_injector=FaultInjector(FaultPlan())))
+        sorter.sort(self._values())
+        assert sorter.device.fault_injector.op_counts["raster"] \
+            == sorter.last_counters.passes

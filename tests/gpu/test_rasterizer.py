@@ -6,6 +6,7 @@ import pytest
 from repro.errors import RasterizationError
 from repro.gpu import (BlendOp, FrameBuffer, PerfCounters, Texture2D,
                        copy_texture, draw_quad)
+from repro.gpu.rasterizer import Quad, draw_quad_batch, plan_quads
 
 
 def make_texture(width, height):
@@ -157,3 +158,92 @@ class TestCounters:
         draw_quad(fb, tex, (0, 0, 4, 4), (0, 0, 4, 4), counters)
         assert counters.blend_ops == 0
         assert counters.fragments == 16
+
+
+class TestQuadBatch:
+    #: Three side-by-side quads over an 8x2 target: a mirrored MIN, a
+    #: REPLACE and a shifted MAX, all sampling rows [0, 2).
+    QUADS = [
+        Quad((0, 0, 2, 2), (8, 0, 6, 2), BlendOp.MIN, "a"),
+        Quad((2, 0, 5, 2), (0, 0, 3, 2), BlendOp.REPLACE, "b"),
+        Quad((5, 0, 8, 2), (5, 0, 8, 2), BlendOp.MAX, "a"),
+    ]
+
+    def _target(self):
+        fb = FrameBuffer(8, 2)
+        fb.pixels()[...] = np.arange(64, dtype=np.float32).reshape(2, 8, 4)[
+            :, ::-1] - 20.0
+        return fb
+
+    def test_batch_equals_quads_drawn_one_by_one(self):
+        tex = make_texture(8, 2)
+        one_by_one, batched = self._target(), self._target()
+        quad_counters, batch_counters = PerfCounters(), PerfCounters()
+        fragments = 0
+        for quad in self.QUADS:
+            one_by_one.set_blend(quad.blend)
+            fragments += draw_quad(one_by_one, tex, quad.dst_rect,
+                                   quad.tex_rect, quad_counters, quad.label)
+        batch = plan_quads(self.QUADS, (8, 2), (8, 2))
+        assert draw_quad_batch(batched, tex, batch, batch_counters) \
+            == fragments
+        assert batched.read().tobytes() == one_by_one.read().tobytes()
+        assert batch_counters == quad_counters
+        assert batched.blend_op is one_by_one.blend_op is BlendOp.MAX
+
+    def test_rows_split_like_columns(self):
+        tex = make_texture(2, 8)
+        quads = [Quad((0, y, 2, y + 2), (2, y + 2, 0, y), blend, "r")
+                 for y, blend in ((0, BlendOp.MAX), (2, BlendOp.MIN),
+                                  (4, BlendOp.MIN), (6, BlendOp.MAX))]
+        one_by_one, batched = FrameBuffer(2, 8), FrameBuffer(2, 8)
+        for fb in (one_by_one, batched):
+            fb.pixels()[...] = 7.0
+        for quad in quads:
+            one_by_one.set_blend(quad.blend)
+            draw_quad(one_by_one, tex, quad.dst_rect, quad.tex_rect)
+        batch = plan_quads(quads, (2, 8), (2, 8))
+        assert batch.axis == 0
+        draw_quad_batch(batched, tex, batch)
+        assert batched.read().tobytes() == one_by_one.read().tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        Quad((5, 0, 5, 2), (5, 0, 8, 2), BlendOp.MAX, "degenerate"),
+        Quad((5, 0, 9, 2), (4, 0, 8, 2), BlendOp.MAX, "off the target"),
+        Quad((5, 0, 8, 2), (6, 0, 9, 2), BlendOp.MAX, "off the texture"),
+    ])
+    def test_every_quad_is_checked(self, bad):
+        with pytest.raises(RasterizationError):
+            plan_quads(self.QUADS[:2] + [bad], (8, 2), (8, 2))
+
+    @pytest.mark.parametrize("quads", [
+        [],
+        # overlap
+        [Quad((0, 0, 4, 2), (0, 0, 4, 2), BlendOp.MIN, "x"),
+         Quad((3, 0, 8, 2), (3, 0, 8, 2), BlendOp.MAX, "x")],
+        # gap
+        [Quad((0, 0, 3, 2), (0, 0, 3, 2), BlendOp.MIN, "x"),
+         Quad((4, 0, 8, 2), (4, 0, 8, 2), BlendOp.MAX, "x")],
+        # neither axis shared: different rows sampled
+        [Quad((0, 0, 4, 2), (0, 0, 4, 2), BlendOp.MIN, "x"),
+         Quad((4, 0, 8, 2), (4, 2, 8, 0), BlendOp.MAX, "x")],
+    ], ids=["empty", "overlap", "gap", "no-shared-axis"])
+    def test_rejects_quads_one_gather_cannot_serve(self, quads):
+        with pytest.raises(RasterizationError):
+            plan_quads(quads, (8, 2), (8, 2))
+
+    def test_draw_rejects_other_sizes_and_draws_nothing(self):
+        batch = plan_quads(self.QUADS, (8, 2), (8, 2))
+        fb = FrameBuffer(8, 4)
+        counters = PerfCounters()
+        with pytest.raises(RasterizationError):
+            draw_quad_batch(fb, make_texture(8, 2), batch, counters)
+        assert not fb.read().any()
+        assert counters == PerfCounters()
+
+    def test_batch_arrays_are_read_only(self):
+        batch = plan_quads(self.QUADS, (8, 2), (8, 2))
+        for array in (batch.rows, batch.cols, batch.inverse,
+                      *(positions for _, _, positions in batch.runs)):
+            with pytest.raises(ValueError):
+                array[0] = 0

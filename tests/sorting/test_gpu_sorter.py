@@ -134,6 +134,18 @@ class TestSortBatch:
             GpuSorter().sort_batch(
                 [rng.random(4).astype(np.float32)] * 5)
 
+    @pytest.mark.parametrize("network", ["pbsn", "bitonic"])
+    def test_empty_batch_after_sort_models_like_empty_sort(self, rng,
+                                                           network):
+        """An empty batch resets every per-sort field, ``last_n`` too."""
+        sorter = GpuSorter(network=network)
+        sorter.sort(rng.random(64).astype(np.float32))
+        sorter.sort_batch([np.array([], dtype=np.float32)])
+        empty = GpuSorter(network=network)
+        empty.sort(np.array([], dtype=np.float32))
+        assert sorter.last_n == 0
+        assert sorter.modelled_time() == empty.modelled_time()
+
     def test_batch_single_gpu_pass_cheaper_than_four(self, rng):
         """Four windows in one texture cost one sort, not four."""
         windows = [rng.random(256).astype(np.float32) for _ in range(4)]

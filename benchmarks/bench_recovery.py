@@ -20,7 +20,8 @@ import pytest
 
 from repro.bench.report import Table, write_bench_json
 from repro.gpu.faults import FaultPlan
-from repro.service import CheckpointStore, RetryPolicy, ShardedMiner
+from repro.service import (CheckpointStore, RetryPolicy, ServicePolicies,
+                           ShardedMiner)
 from repro.streams import uniform_stream
 
 from conftest import emit, scaled
@@ -32,14 +33,15 @@ FAULT_RATES = [0.0, 0.02, 0.05, 0.2]
 EPS = 0.02
 WINDOW = 512
 # Near-zero sleeps: the benchmark measures machinery, not backoff naps.
-RETRY = RetryPolicy(max_attempts=3, base_delay=1e-6, max_delay=1e-5)
+RETRY = ServicePolicies(retry=RetryPolicy(max_attempts=3, base_delay=1e-6,
+                                          max_delay=1e-5))
 
 
 def _run_one(rate: float):
     plan = FaultPlan.transfers(rate, seed=7) if rate > 0 else None
     pool = ShardedMiner("quantile", eps=EPS, num_shards=2, backend="gpu",
                         window_size=WINDOW, stream_length_hint=ELEMENTS,
-                        fault_plan=plan, retry=RETRY)
+                        fault_plan=plan, policies=RETRY)
     data = uniform_stream(ELEMENTS, seed=13)
     start = time.perf_counter()
     pool.ingest(data)

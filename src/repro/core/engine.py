@@ -351,6 +351,11 @@ class StreamMiner:
         """Elements accepted but not yet through the pipeline."""
         return self._windower.buffered
 
+    @property
+    def processed(self) -> int:
+        """Elements the estimator has summarised (excludes ``buffered``)."""
+        return int(self.estimator.processed)
+
     def quantile_summaries(self):
         """The mergeable per-bucket summaries (history-mode quantiles)."""
         if self.statistic != "quantile" or self.mode != "history":

@@ -6,29 +6,34 @@ horizontal scaling free.  This package supplies the layer that uses it:
 
 * :class:`ShardedMiner` — N independent miner pipelines behind one
   ingest/query facade, with merge-on-query and documented combined-error
-  accounting (no error beyond the configured ``eps``);
+  accounting (no error beyond the configured ``eps``).  Its base,
+  :class:`~repro.service.sharded.ShardPool`, holds the validation,
+  routing, merge-on-query surface, snapshot format and resharding that
+  every executor's pool shares;
 * :class:`StreamService` — the asyncio front-end: bounded per-shard
   queues (backpressure), optional load shedding, texture-batch
   coalescing, and parallel shard workers;
 * :class:`ServiceMetrics` / :class:`ShardMetrics` — the observability
   surface (ingest rate, queue depth, per-shard latencies, shed count,
   fault/retry/degradation counters, shard health);
-* :class:`MpShardedMiner` — the multiprocess executor: one worker
-  *process* per shard, shared-memory batch transport
-  (:mod:`~repro.service.shm_ring`), supervised restart with
-  ack/replay, merge-on-query over gathered estimator states;
-* :class:`NetShardedMiner` — the network executor: the same ack/replay
-  protocol over framed TCP (:mod:`~repro.service.net_transport`) with
-  per-connection deadlines, heartbeats, worker reconnect, elastic
-  resharding (:func:`resharded_snapshot`) and keyspace takeover when a
-  shard dies for good;
+* the worker-pool engine (:mod:`~repro.service.worker_pool`) — one
+  worker *process* per shard, the ack/replay protocol, supervised
+  restart and merge-on-query over gathered estimator states, under two
+  transports: :class:`MpShardedMiner` (a pipe plus a shared-memory
+  batch ring, :mod:`~repro.service.shm_ring`; fail-stop) and
+  :class:`NetShardedMiner` (framed TCP,
+  :mod:`~repro.service.net_transport`, with per-connection deadlines,
+  heartbeats, worker reconnect and keyspace takeover when a shard dies
+  for good);
+* elastic resharding (:func:`resharded_snapshot`) on every pool;
 * the executor registry (:mod:`~repro.service.executors`) naming the
   four ways to run the pool — ``inline`` / ``async`` / ``mp`` /
   ``net`` — all answer-identical, differing only in throughput and
   failure-domain isolation;
 * fault tolerance — :class:`RetryPolicy`, :class:`CircuitBreaker` and
   :class:`ShardGuard` (:mod:`~repro.service.resilience`) around the
-  dispatch path, and :class:`CheckpointStore`
+  dispatch path, every setting of which comes from one
+  :class:`ServicePolicies` bundle, and :class:`CheckpointStore`
   (:mod:`~repro.service.checkpoint`) for durable snapshot/restore of
   the whole pool under any executor;
 * partitioners in :mod:`~repro.service.sharding` and the ``repro

@@ -23,8 +23,9 @@ Built-in executors:
     genuinely parallel across cores.
 ``net``
     :class:`StreamService` over :class:`NetShardedMiner`: the same
-    ack/replay protocol over framed TCP, adding deadlines, heartbeats,
-    worker reconnect, and keyspace takeover when a shard dies for good
+    worker-pool engine (:mod:`repro.service.worker_pool`) over framed
+    TCP, adding deadlines, heartbeats, worker reconnect, and keyspace
+    takeover when a shard dies for good
     (:mod:`repro.service.net_executor`).
 
 Every executor produces **bit-identical answers** over the same stream

@@ -5,220 +5,56 @@ so all sorting and summarising still serialises on the GIL — the exact
 serial bottleneck the paper escapes by moving comparator work onto
 parallel hardware.  :class:`MpShardedMiner` is the process-parallel
 sibling: each shard's :class:`~repro.core.engine.StreamMiner` lives in
-its own worker process, batches travel through a shared-memory ring
-(:mod:`repro.service.shm_ring`, descriptor-over-pipe framing, pickle
-fallback for small batches), and queries gather the per-shard estimator
-states through the ``to_state``/``from_state`` protocol and merge them
-in the parent — the same merge-on-query algebra, so every combined
-error bound carries over unchanged.
+its own worker process, and queries gather the per-shard estimator
+states and merge them in the parent — the same merge-on-query algebra,
+so every combined error bound carries over unchanged.
 
-The class mirrors the :class:`ShardedMiner` surface exactly (ingest /
-dispatch / drain / queries / snapshot / metrics), which makes it a
-drop-in pool for :class:`~repro.service.async_service.StreamService`
-and the executor registry (:mod:`repro.service.executors`).
-
-Ack/replay protocol (also documented in DESIGN.md §12):
-
-* every batch/flush carries a per-shard monotone sequence number; the
-  worker acknowledges each one **in order** with its element count,
-  busy seconds, resilience-counter deltas, and (when tracing)
-  aggregated spans;
-* the parent keeps every unacknowledged-or-younger-than-last-snapshot
-  entry in a replay log; every ``snapshot_every`` acks it requests an
-  internal worker snapshot and truncates the log, keeping replay
-  memory bounded;
-* worker death (crash, SIGKILL) triggers a bounded supervised restart:
-  a fresh worker is spawned from the last snapshot and the replay log
-  is re-sent with the *same* sequence numbers.  Acks with sequence
-  numbers the parent already counted only bump ``replayed_batches`` —
-  throughput metrics are never double-counted, and no acknowledged
-  batch is ever lost.  Past ``max_restarts`` the shard is declared
-  permanently failed and operations raise
-  :class:`~repro.errors.ShardFailedError`;
-* inside each worker the dispatch runs under the same
-  :class:`~repro.service.resilience.ShardGuard` policy as the
-  in-process pool, so retry/degradation semantics do not depend on
-  where the shard lives.
-
-Determinism: per-shard element sequences are produced by the same
-partitioner code, workers process commands strictly in order, and
-sorting/summarising are pure functions of the windows — so answers are
-bit-identical to the inline pool over the same stream (asserted by
-``tests/service/test_mp_equivalence.py``).
+The pool surface, the ack/replay protocol, supervision and the worker
+loop are the shared worker-pool engine
+(:class:`~repro.service.worker_pool.WorkerPool`, DESIGN.md §12).  This
+module keeps only the transport: a duplex pipe per worker plus a
+shared-memory ring (:mod:`repro.service.shm_ring`) — a batch rides the
+ring as an ``(offset, length)`` body on the pipe, a batch at or below
+``policies.small_batch_elements`` (or larger than the ring) is pickled
+onto the pipe — and the ring-full backpressure: with every slot live,
+a dispatch blocks on acks until one frees.  A shard whose restart
+budget runs out fails for good (fail-stop); queries and snapshots then
+raise :class:`~repro.errors.ShardFailedError`.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import time
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from threading import RLock
-from typing import NamedTuple
 
 import numpy as np
 
-from ..backends import cpu_fallback_for
-from ..core.engine import EngineReport, StreamMiner
-from ..core.estimators import (default_kind_for, estimator_capabilities,
-                               estimator_from_state)
-from ..errors import QueryError, ServiceError, ShardFailedError
-from ..gpu.device import GpuDevice
-from ..gpu.faults import FaultInjector, FaultPlan
-from ..obs import collecting, collector
-from .metrics import ServiceMetrics, ShardMetrics
-from .policies import DEFAULT_POLICIES, ServicePolicies
-from .resilience import CircuitBreaker, RetryPolicy, ShardGuard
-from .sharded import dispatch_query, merge_quantile_summaries
-from .sharding import default_partitioner, partitioner_from_state
+from ..errors import ServiceError
 from .shm_ring import ShmRing
+from .worker_pool import ShardLink, ShardWorker, WorkerPool, _WorkerDied
 
 __all__ = ["MpShardedMiner"]
 
-# Tuning constants moved to service.policies (one place for every
-# executor knob); these aliases keep the historical import paths alive.
-SMALL_BATCH_ELEMENTS = DEFAULT_POLICIES.small_batch_elements
-SNAPSHOT_EVERY = DEFAULT_POLICIES.snapshot_every
-_READY_TIMEOUT = DEFAULT_POLICIES.ready_timeout
+#: Per-shard shared-memory arena, in float32 elements.
+RING_CAPACITY = 1 << 20
 
 
-class _WorkerDied(Exception):
-    """Internal: the shard's worker process is gone; supervise it."""
-
-    def __init__(self, cause):
-        super().__init__(repr(cause))
-        self.cause = cause
-
-
-class _Pending(NamedTuple):
-    kind: str  # "batch" | "flush"
-    segment: tuple[int, int] | None  # ring (offset, length) or None
-    elements: int
-
-
-@dataclass
-class _ShardLink:
-    """Parent-side bookkeeping for one worker process."""
-
-    shard_id: int
-    ring: ShmRing
-    lock: RLock = field(default_factory=RLock)
-    proc: multiprocessing.Process | None = None
-    conn: object | None = None
-    window_size: int = 0
-    next_seq: int = 0
-    #: highest batch/flush sequence sent (requests don't count).
-    sent: int = 0
-    #: highest sequence acknowledged by the (current) worker.
-    acked: int = 0
-    #: highest sequence whose metrics were recorded (replay dedup).
-    counted: int = 0
-    pending: OrderedDict = field(default_factory=OrderedDict)
-    #: (seq, kind, float32 array | None) entries since the last snapshot.
-    replay: list = field(default_factory=list)
-    #: last worker snapshot ({"miner": state}) — the restart point.
-    snap: dict | None = None
-    #: sequence watermark the snapshot covers.
-    snap_seq: int = 0
-    acks_since_snap: int = 0
-    results: dict = field(default_factory=dict)
-    failed: ShardFailedError | None = None
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-def _report_state(report: EngineReport) -> dict:
-    return {"backend": report.backend, "statistic": report.statistic,
-            "elements": int(report.elements), "windows": int(report.windows),
-            "wall": dict(report.wall), "modelled": dict(report.modelled)}
-
-
-def _pack_spans(spans) -> list:
-    """Aggregate leaf spans by name for the ack payload.
-
-    Per-span shipping would dominate the pipe for GPU workloads (one
-    span per rendering pass); the parent only needs totals, so this
-    sums wall seconds, counts, and numeric attributes per name.
-    """
-    packed: dict[str, list] = {}
-    for span in spans:
-        slot = packed.setdefault(span.name, [0.0, 0, {}])
-        slot[0] += span.wall
-        slot[1] += 1
-        for key, value in span.attrs.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                slot[2][key] = value
-            else:
-                slot[2][key] = slot[2].get(key, 0) + value
-    return [(name, wall, count, attrs)
-            for name, (wall, count, attrs) in packed.items()]
-
-
-def _counter_delta(metrics: ShardMetrics, reported: dict) -> dict:
-    """Resilience-counter movement since the previous ack."""
-    delta = {}
-    for name in ("faults", "retries", "degraded_batches"):
-        value = int(getattr(metrics, name))
-        delta[name] = value - reported[name]
-        reported[name] = value
-    delta["breaker_state"] = metrics.breaker_state
-    delta["last_error"] = metrics.last_error
-    return delta
-
-
-def _worker_main(shard_id: int, conn, ring_name: str, ring_capacity: int,
-                 config: dict) -> None:
-    """One shard's process: build the miner, serve commands in order."""
+def _worker_main(shard_id: int, conn, ring_name: str, config: dict) -> None:
+    """One shard's process: build the miner, serve the pipe in order."""
     ring = None
+
+    def decode(body) -> np.ndarray:
+        if isinstance(body, tuple):
+            # Copy out of the ring before touching the engine: the
+            # windower *keeps* references, and the parent recycles the
+            # slots as soon as this batch is acknowledged.
+            return np.array(ring.view(*body))
+        return np.asarray(body, dtype=np.float32).ravel()
+
     try:
-        ring = ShmRing.attach(ring_name, ring_capacity)
-        device = None
-        plan = config["fault_plan"]
-        if config["backend"] == "gpu" and plan is not None:
-            # Same per-shard reseeding as the inline pool: faults are
-            # independent across shards, scenarios replay exactly.
-            device = GpuDevice(fault_injector=FaultInjector(
-                plan.reseeded(plan.seed + shard_id)))
-        snap = config["snapshot"]
-        if snap is not None:
-            miner = StreamMiner.from_snapshot(
-                snap["miner"], backend=config["backend"], device=device)
-        else:
-            miner = StreamMiner(
-                config["statistic"], eps=config["eps"],
-                backend=config["backend"], mode="history",
-                window_size=config["window_size"], device=device,
-                stream_length_hint=config["length_hint"],
-                kind=config.get("kind"))
-        metrics = ShardMetrics(shard_id)
-        guard = ShardGuard(
-            shard_id, miner, miner.sorter,
-            cpu_fallback_for(miner.sorter, cpu_speedup=miner._cpu_speedup),
-            config["retry"], CircuitBreaker(*config["breaker"]),
-            np.random.default_rng((2005, shard_id)), metrics)
-        reported = {"faults": 0, "retries": 0, "degraded_batches": 0}
-        conn.send(("ready", int(miner.window_size)))
-        while True:
-            message = conn.recv()
-            kind, seq = message[0], message[1]
-            if kind in ("batch", "flush"):
-                _worker_step(conn, ring, miner, guard, reported, message)
-            elif kind == "state":
-                conn.send(("result", seq, {
-                    "estimator": miner.estimator.to_state(),
-                    "processed": int(miner.estimator.processed),
-                    "buffered": int(miner.buffered),
-                    "report": _report_state(miner.report)}))
-            elif kind == "snapshot":
-                conn.send(("result", seq, miner.snapshot()))
-            elif kind == "stop":
-                conn.send(("result", seq, None))
-                return
-            else:  # pragma: no cover - protocol error
-                raise ServiceError(f"unknown command {kind!r}")
+        ring = ShmRing.attach(ring_name, RING_CAPACITY)
+        worker = ShardWorker(shard_id, config)
+        conn.send(("ready", int(worker.miner.window_size)))
+        worker.serve(conn.recv, conn.send, decode)
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         return
     except Exception as exc:  # pragma: no cover - supervised restart path
@@ -236,520 +72,33 @@ def _worker_main(shard_id: int, conn, ring_name: str, ring_capacity: int,
             pass
 
 
-def _worker_step(conn, ring, miner, guard, reported, message) -> None:
-    kind, seq, transport, a, b, trace = message
-    if kind == "batch":
-        if transport == "shm":
-            # Copy out of the ring before touching the engine: the
-            # windower *keeps* references, and the parent recycles the
-            # slots as soon as this batch is acknowledged.
-            arr = np.array(ring.view(a, b))
-        else:
-            arr = np.asarray(a, dtype=np.float32).ravel()
-        elements = int(arr.size)
-    else:
-        arr, elements = None, 0
-    # CPU time, not wall: the worker loop is single-threaded, so the
-    # process_time delta is exactly the compute this step consumed.
-    # Wall would also bill the time *other* workers held the core on an
-    # oversubscribed box, inflating update_seconds with contention and
-    # breaking the one-core-per-worker scaling model the benchmark
-    # applies to these numbers.
-    began = time.process_time()
-    spans: list = []
-    try:
-        if trace:
-            with collecting() as col:
-                _run_guarded(miner, guard, kind, arr)
-            spans = _pack_spans(col.snapshot())
-        else:
-            _run_guarded(miner, guard, kind, arr)
-    except ShardFailedError as exc:
-        conn.send(("error", seq, repr(exc)))
-        return
-    busy = time.process_time() - began
-    if kind == "batch" and trace:
-        spans.append(("service.dispatch", busy, 1, {"elements": elements}))
-    conn.send(("ack", seq, kind == "batch", elements, busy,
-               _counter_delta(guard.metrics, reported), spans))
-
-
-def _run_guarded(miner, guard, kind, arr) -> None:
-    if kind == "batch":
-        # Same split as ShardedMiner.dispatch: buffering is unfaultable,
-        # the pump is transactional and retried by the guard.
-        miner.buffer_chunk(arr)
-        guard.run(miner.pump)
-    else:
-        guard.run(miner.flush)
-
-
-def _release_links(links) -> None:
-    """GC/exit safety net: reap workers, destroy shared memory."""
-    for link in links:
-        proc = link.proc
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-        if link.conn is not None:
-            try:
-                link.conn.close()
-            except OSError:
-                pass
-        link.ring.close()
-
-
-# ----------------------------------------------------------------------
-# shared pool surface (process + network executors)
-# ----------------------------------------------------------------------
-class _PoolQueryMixin:
-    """Merge-on-query surface shared by the process and network pools.
-
-    Both pools keep per-shard links with the same protocol verbs
-    (``self._request(link, "state"|"snapshot")``), per-shard locks, and
-    a ``self.retired`` list of estimator states from shards that were
-    retired by a reshard or a takeover.  Retired states are *ghosts*:
-    frozen contributions that every query folds in alongside the live
-    shards, which is what lets a shard's keyspace move without touching
-    the eps accounting —
-
-    * quantiles: ghost summaries join the merge; merging is lossless,
-      the single query-time prune still adds at most ``eps/2``;
-    * frequencies: counts for a value are *summed* across ghosts and
-      live shards.  Occurrences partition across the structures, and a
-      lossy-counting estimate never overcounts its own occurrences, so
-      the sum never overcounts; the undercount is at most
-      ``sum(eps * N_i) <= eps * N``;
-    * distinct: KMV sketches union exactly.
-    """
-
-    def _live_links(self):
-        return [link for link in self._links
-                if not getattr(link, "taken_over", False)]
-
-    def _retired_estimators(self):
-        return [estimator_from_state(state) for state in self.retired]
-
-    @property
-    def _shard_eps(self) -> float:
-        # eps/2 per shard for the default GK quantile path: merging is
-        # lossless but the query-time prune back to B = ceil(1/eps)
-        # buckets costs the other eps/2.  Explicit kinds merge within
-        # their own family without a prune, and counting and KMV shards
-        # keep full eps.
-        return (self.eps / 2.0 if self.statistic == "quantile"
-                and self.kind is None else self.eps)
-
-    @property
-    def _shard_hint(self) -> int:
-        return max(1, math.ceil(self._stream_length_hint / self.num_shards))
-
-    def _fresh_miner_state(self) -> dict:
-        """An empty per-shard miner state (snapshot slots for shards
-        whose history lives on in ``retired``)."""
-        return StreamMiner(
-            self.statistic, eps=self._shard_eps, backend="cpu",
-            mode="history", window_size=self._window_size_arg,
-            stream_length_hint=self._shard_hint,
-            kind=self.kind).snapshot()
-
-    @property
-    def window_size(self) -> int:
-        """The shard pipelines' window width (largest across shards)."""
-        return max(link.window_size for link in self._links)
-
-    def _gather(self) -> list[dict]:
-        """Settled per-shard estimator states (the merge-on-query feed)."""
-        return [self._request(link, "state") for link in self._live_links()]
-
-    @property
-    def processed(self) -> int:
-        """Elements fully through the per-shard pipelines (incl. ghosts)."""
-        return (sum(payload["processed"] for payload in self._gather())
-                + sum(int(est.processed)
-                      for est in self._retired_estimators()))
-
-    @property
-    def buffered(self) -> int:
-        """Elements accepted by workers but not yet summarised."""
-        return sum(payload["buffered"] for payload in self._gather())
-
-    def shard_reports(self) -> list[EngineReport]:
-        """Per-shard per-operation latency accounting (wall + modelled)."""
-        reports = []
-        for payload in self._gather():
-            raw = payload["report"]
-            report = EngineReport(raw["backend"], raw["statistic"],
-                                  elements=int(raw["elements"]),
-                                  windows=int(raw["windows"]))
-            report.wall.update(raw["wall"])
-            report.modelled.update(raw["modelled"])
-            reports.append(report)
-        return reports
-
-    # -- merge-on-query (same algebra as the inline pool) ---------------
-    def combined_summary(self, prune_budget: int | str | None = "auto"):
-        """Merge every worker's quantile buckets into one served summary."""
-        if self.statistic != "quantile":
-            raise QueryError("this service does not estimate quantiles")
-        if self.kind is not None:
-            raise QueryError(
-                f"estimator kind {self.kind!r} merges within its own "
-                "family, not through GK bucket summaries — query via "
-                "quantile()")
-        summaries = []
-        for payload in self._gather():
-            estimator = estimator_from_state(payload["estimator"])
-            summaries.extend(estimator.summaries())
-        for estimator in self._retired_estimators():
-            summaries.extend(estimator.summaries())
-        return merge_quantile_summaries(summaries, self.eps, prune_budget)
-
-    def _merged_estimator(self):
-        """Every worker's estimator (plus ghosts) folded with the
-        family's own ``merge()`` — the generic-kind query path."""
-        estimators = [estimator_from_state(payload["estimator"])
-                      for payload in self._gather()]
-        estimators.extend(self._retired_estimators())
-        live = [est for est in estimators if int(est.processed) > 0]
-        if not live:
-            raise QueryError("no data processed yet")
-        merged = live[0]
-        for estimator in live[1:]:
-            merged = merged.merge(estimator)
-        return merged
-
-    def quantile(self, phi: float) -> float:
-        """The phi-quantile over all shards, within the kind's bound."""
-        if self.kind is not None:
-            if self.statistic != "quantile":
-                raise QueryError("this service does not estimate quantiles")
-            result = self._merged_estimator().quantile(phi)
-        else:
-            result = self.combined_summary().quantile(phi)
-        self.metrics.queries += 1
-        return result
-
-    def frequent_items(self, support: float) -> list[tuple[float, int]]:
-        """Heavy hitters: per-value counts summed over shards + ghosts."""
-        if self.statistic != "frequency":
-            raise QueryError("this service does not estimate frequencies")
-        if self.kind is not None and "heavy_hitters" not in \
-                estimator_capabilities(self.kind).metrics:
-            raise QueryError(
-                f"estimator kind {self.kind!r} answers point estimates "
-                "only; it cannot enumerate heavy hitters")
-        if not 0.0 <= support <= 1.0:
-            raise QueryError(f"support must be in [0, 1], got {support}")
-        if support < self.eps:
-            raise QueryError(
-                f"support {support} below eps {self.eps}: the guarantee "
-                "threshold (s - eps) N would be vacuous")
-        payloads = self._gather()
-        estimators = [estimator_from_state(payload["estimator"])
-                      for payload in payloads]
-        estimators.extend(self._retired_estimators())
-        total = (sum(payload["processed"] for payload in payloads)
-                 + sum(int(est.processed)
-                       for est in self._retired_estimators()))
-        threshold = (support - self.eps) * total
-        counts: dict[float, int] = {}
-        for estimator in estimators:
-            for value, estimate in estimator.items():
-                counts[value] = counts.get(value, 0) + estimate
-        result = [(value, count) for value, count in counts.items()
-                  if count >= threshold]
-        result.sort(key=lambda pair: (-pair[1], pair[0]))
-        self.metrics.queries += 1
-        return result
-
-    def estimate(self, value: float) -> int:
-        """Estimated global count of ``value`` (summed over shards).
-
-        Under value-affine routing every term but the home shard's is
-        zero, so this matches the home-shard lookup bit for bit; after
-        a takeover or reshard it transparently folds in the ghost and
-        failover contributions (occurrences partition across the
-        structures, so the sum never overcounts).
-        """
-        if self.statistic != "frequency":
-            raise QueryError("this service does not estimate frequencies")
-        total = 0
-        for payload in self._gather():
-            total += estimator_from_state(payload["estimator"]).estimate(
-                value)
-        for estimator in self._retired_estimators():
-            total += estimator.estimate(value)
-        self.metrics.queries += 1
-        return total
-
-    def distinct(self) -> float:
-        """Distinct-count estimate from the union of shard KMV sketches."""
-        if self.statistic != "distinct":
-            raise QueryError("this service does not count distinct values")
-        sketches = [estimator_from_state(payload["estimator"])
-                    for payload in self._gather()]
-        sketches.extend(self._retired_estimators())
-        union = sketches[0]
-        for sketch in sketches[1:]:
-            union = union.merge(sketch)
-        self.metrics.queries += 1
-        return union.estimate()
-
-    def answer(self, metric: str, **params):
-        """Metric-keyed query routing (the continuous-query seam).
-
-        Same vocabulary as :meth:`ShardedMiner.answer`, via the shared
-        :func:`~repro.service.sharded.dispatch_query` translation, so
-        the worker pools plug into the query front-end unchanged.
-        """
-        return dispatch_query(self, metric, params)
-
-    # -- checkpoint/restore (same "sharded-miner" v1 format) -------------
-    def snapshot(self) -> dict:
-        """Versioned snapshot, interchangeable across all executors.
-
-        The state is gathered from settled workers and written in the
-        exact :meth:`ShardedMiner.snapshot` format, so a checkpoint cut
-        under one executor restores under any other.  Taken-over shards
-        contribute an empty miner slot — their history is already in
-        ``retired``.
-        """
-        shards = []
-        for link in self._links:
-            shard = self.metrics.shards[link.shard_id]
-            if getattr(link, "taken_over", False):
-                shards.append({"miner": self._fresh_miner_state(),
-                               "elements": int(shard.elements),
-                               "batches": int(shard.batches)})
-                continue
-            with link.lock:
-                state = self._request(link, "snapshot")
-                link.snap = {"miner": state}
-                link.snap_seq = link.sent
-                link.replay = [entry for entry in link.replay
-                               if entry[0] > link.snap_seq]
-                link.acks_since_snap = 0
-                shards.append({"miner": state,
-                               "elements": int(shard.elements),
-                               "batches": int(shard.batches)})
-        return {
-            "version": 1,
-            "kind": "sharded-miner",
-            "statistic": self.statistic,
-            "estimator_kind": self.kind,
-            "eps": self.eps,
-            "num_shards": self.num_shards,
-            "backend": self._backend_kind,
-            "window_size": self._window_size_arg,
-            "stream_length_hint": self._stream_length_hint,
-            "partitioner": self.partitioner.to_state(),
-            "ingested": int(self.metrics.ingested),
-            "shards": shards,
-            "retired": [dict(state) for state in self.retired],
-        }
-
-    # -- elastic resharding ----------------------------------------------
-    def reshard(self, num_shards: int) -> None:
-        """Live shard split/merge: migrate state onto a new pool size.
-
-        Drains, snapshots, rewrites the snapshot for ``num_shards`` via
-        :func:`repro.service.reshard.resharded_snapshot` (old shard
-        histories become ghosts; the partitioner is rebuilt over the new
-        count), then boots a fresh worker pool from it and adopts that
-        pool in place.  Queries before and after see the same stream
-        with the same error bounds — see the class docstring for the
-        accounting.
-        """
-        from .reshard import resharded_snapshot
-        self.drain()
-        state = resharded_snapshot(self.snapshot(), num_shards)
-        fresh = type(self).from_snapshot(
-            state, backend=self._backend_kind, **self._reshard_kwargs())
-        self.close()
-        # Adopt the fresh pool's guts.  Its finalizer would reap the
-        # adopted workers when `fresh` is collected, so detach it and
-        # re-bind one to self.
-        fresh._finalizer.detach()
-        self.__dict__.update(fresh.__dict__)
-        self._rebind_finalizer()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
-class MpShardedMiner(_PoolQueryMixin):
+class MpShardedMiner(WorkerPool):
     """Process-pool drop-in for :class:`ShardedMiner`.
 
-    Parameters mirror :class:`ShardedMiner`; the extras are:
-
-    ring_capacity:
-        Per-shard shared-memory arena, in float32 elements.
-    small_batch_elements:
-        Batches at or below this size ride the pipe (pickle) instead of
-        the ring.
-    snapshot_every:
-        Acks between internal worker snapshots (replay-log bound).
-    max_restarts:
-        Worker deaths tolerated per shard before it is declared
-        permanently failed.
-    policies:
-        A :class:`~repro.service.policies.ServicePolicies` bundle
-        providing the defaults for ``retry``, the breaker knobs and the
-        three tuning parameters above; explicit arguments win.
-    mp_context:
-        ``multiprocessing`` start method (default ``"spawn"`` — immune
-        to inherited locks/threads; workers re-import the package).
-    shard_states:
-        Internal (used by :meth:`from_snapshot`): per-shard restore
-        points the workers boot from.
-    retired:
-        Internal (used by :meth:`from_snapshot`): ghost estimator
-        states carried over from retired shards.
+    Parameters are :class:`~repro.service.worker_pool.WorkerPool`'s
+    (``policies.small_batch_elements`` sets the pipe/ring cutover).
     """
 
-    def __init__(self, statistic: str = "quantile", eps: float = 0.01,
-                 num_shards: int = 4, backend: str = "cpu",
-                 window_size: int | None = None,
-                 partitioner=None,
-                 stream_length_hint: int = 100_000_000,
-                 fault_plan: FaultPlan | None = None,
-                 retry: RetryPolicy | None = None,
-                 breaker_failure_threshold: int | None = None,
-                 breaker_cooldown_batches: int | None = None, *,
-                 ring_capacity: int = 1 << 20,
-                 small_batch_elements: int | None = None,
-                 snapshot_every: int | None = None,
-                 max_restarts: int | None = None,
-                 policies: ServicePolicies | None = None,
-                 mp_context: str = "spawn",
-                 kind: str | None = None,
-                 shard_states: list[dict] | None = None,
-                 retired: list[dict] | None = None):
-        if num_shards < 1:
-            raise ServiceError(f"need >= 1 shard, got {num_shards}")
-        if statistic not in ("quantile", "frequency", "distinct"):
-            raise ServiceError(f"unknown statistic {statistic!r}")
-        if kind is not None and kind == default_kind_for(statistic):
-            kind = None
-        if kind is not None:
-            caps = estimator_capabilities(kind)
-            if caps.statistic != statistic:
-                raise ServiceError(
-                    f"estimator kind {kind!r} serves statistic "
-                    f"{caps.statistic!r}, not {statistic!r}")
-            if not caps.mergeable:
-                raise ServiceError(
-                    f"estimator kind {kind!r} is not mergeable; the "
-                    "sharded pools need merge-on-query")
-        if not 0.0 < eps < 1.0:
-            raise ServiceError(f"eps must be in (0, 1), got {eps}")
-        if not isinstance(backend, str):
-            raise ServiceError(
-                "the mp executor ships the backend name to worker "
-                "processes; pass a registered backend name, not an object")
-        if fault_plan is not None and backend != "gpu":
-            raise ServiceError(
-                "fault injection targets the simulated GPU; "
-                f"backend is {backend!r}")
-        pol = policies if policies is not None else DEFAULT_POLICIES
-        if not isinstance(pol, ServicePolicies):
-            raise ServiceError(
-                f"policies must be a ServicePolicies, got {pol!r}")
-        self.policies = pol
-        if small_batch_elements is None:
-            small_batch_elements = pol.small_batch_elements
-        if snapshot_every is None:
-            snapshot_every = pol.snapshot_every
-        if max_restarts is None:
-            max_restarts = pol.max_restarts
-        if breaker_failure_threshold is None:
-            breaker_failure_threshold = pol.breaker_failure_threshold
-        if breaker_cooldown_batches is None:
-            breaker_cooldown_batches = pol.breaker_cooldown_batches
-        if max_restarts < 0:
-            raise ServiceError(
-                f"max_restarts must be >= 0, got {max_restarts}")
-        if snapshot_every < 1:
-            raise ServiceError(
-                f"snapshot_every must be >= 1, got {snapshot_every}")
-        if shard_states is not None and len(shard_states) != num_shards:
-            raise ServiceError(
-                f"got {len(shard_states)} shard states for "
-                f"{num_shards} shards")
-        self.statistic = statistic
-        self.kind = kind
-        self.eps = float(eps)
-        self.num_shards = int(num_shards)
-        self.partitioner = (partitioner if partitioner is not None
-                            else default_partitioner(statistic, num_shards))
-        if statistic == "frequency" and not hasattr(
-                self.partitioner, "shard_of"):
-            raise ServiceError(
-                "frequency sharding needs a value-routing partitioner")
-        self._backend_kind = backend
-        self._window_size_arg = (int(window_size) if window_size is not None
-                                 else None)
-        self._stream_length_hint = int(stream_length_hint)
-        self.fault_plan = fault_plan
-        self.retry = retry if retry is not None else pol.retry
-        self._breaker_config = (int(breaker_failure_threshold),
-                                int(breaker_cooldown_batches))
-        self.small_batch_elements = int(small_batch_elements)
-        self.snapshot_every = int(snapshot_every)
-        self.max_restarts = int(max_restarts)
-        self.retired = [dict(state) for state in (retired or [])]
-        self._ctx = multiprocessing.get_context(mp_context)
-        self.metrics = ServiceMetrics(
-            shards=[ShardMetrics(i) for i in range(self.num_shards)])
-        self._closed = False
-        self._links = [
-            _ShardLink(shard_id, ShmRing(ring_capacity))
-            for shard_id in range(self.num_shards)]
-        if shard_states is not None:
-            for link, state in zip(self._links, shard_states):
-                link.snap = state
-        self._finalizer = weakref.finalize(self, _release_links, self._links)
-        try:
-            for link in self._links:
-                self._spawn(link)
-            for link in self._links:
-                self._await_ready(link)
-        except BaseException:
-            self.close()
-            raise
+    def _open_transport(self) -> None:
+        for link in self._links:
+            link.ring = ShmRing(RING_CAPACITY)
 
-    # ------------------------------------------------------------------
-    # worker lifecycle
-    # ------------------------------------------------------------------
-    def _worker_config(self, link: _ShardLink) -> dict:
-        return {"statistic": self.statistic, "eps": self._shard_eps,
-                "kind": self.kind,
-                "backend": self._backend_kind,
-                "window_size": self._window_size_arg,
-                "length_hint": self._shard_hint,
-                "fault_plan": self.fault_plan,
-                "retry": self.retry,
-                "breaker": self._breaker_config,
-                "snapshot": link.snap}
+    def _resources(self) -> list:
+        return [link.ring for link in self._links]
 
-    def _spawn(self, link: _ShardLink) -> None:
+    def _spawn(self, link: ShardLink) -> None:
+        link.ring.reset()  # a fresh worker starts on an empty ring
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(link.shard_id, child_conn, link.ring.name,
-                  link.ring.capacity, self._worker_config(link)),
+                  self._worker_config(link)),
             name=f"repro-shard-{link.shard_id}", daemon=True)
         proc.start()
         child_conn.close()
         link.proc, link.conn = proc, parent_conn
 
-    def _await_ready(self, link: _ShardLink) -> None:
+    def _await_ready(self, link: ShardLink) -> None:
         deadline = time.monotonic() + self.policies.ready_timeout
         while True:
             try:
@@ -776,82 +125,26 @@ class MpShardedMiner(_PoolQueryMixin):
                     f"shard {link.shard_id} worker not ready after "
                     f"{self.policies.ready_timeout:.0f}s")
 
-    def _cleanup_worker(self, link: _ShardLink) -> None:
-        if link.conn is not None:
-            try:
-                link.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        if link.proc is not None:
-            if link.proc.is_alive():
-                link.proc.terminate()
-            link.proc.join(timeout=10.0)
-        link.proc = link.conn = None
-
-    def _restart(self, link: _ShardLink, cause) -> None:
-        """Supervised single respawn from the last snapshot (no replay)."""
-        shard = self.metrics.shards[link.shard_id]
-        shard.failures += 1
-        shard.last_error = repr(cause)
-        self._cleanup_worker(link)
-        if shard.restarts >= self.max_restarts:
-            shard.healthy = False
-            shard.lost_elements += sum(
-                entry.elements for entry in link.pending.values())
-            exc = ShardFailedError(
-                link.shard_id,
-                f"shard {link.shard_id} worker died and the restart "
-                f"budget ({self.max_restarts}) is exhausted")
-            if isinstance(cause, BaseException):
-                exc.__cause__ = cause
-            link.failed = exc
-            raise exc
-        shard.restarts += 1
-        link.ring.reset()
-        link.pending.clear()
-        link.results.clear()
-        link.acked = link.snap_seq
-        link.acks_since_snap = 0
-        self._spawn(link)
-        self._await_ready(link)
-
-    def _restart_and_replay(self, link: _ShardLink, cause) -> None:
-        """Respawn, then re-send the replay log with the same sequences."""
-        self._restart(link, cause)
-        shard = self.metrics.shards[link.shard_id]
-        while True:
-            try:
-                for seq, kind, arr in list(link.replay):
-                    if kind == "batch":
-                        shard.replayed_batches += 1
-                    self._transmit(link, seq, kind, arr, trace=False)
-                return
-            except _WorkerDied as died:  # died again mid-replay
-                self._restart(link, died.cause)
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _fresh_seq(self, link: _ShardLink) -> int:
-        link.next_seq += 1
-        return link.next_seq
-
-    def _conn_send(self, link: _ShardLink, message) -> None:
+    def _send(self, link: ShardLink, message) -> None:
         try:
             link.conn.send(message)
         except (OSError, ValueError) as exc:
             raise _WorkerDied(exc) from exc
 
-    def _transmit(self, link: _ShardLink, seq: int, kind: str,
-                  arr: np.ndarray | None, trace: bool) -> None:
+    def _receive(self, link: ShardLink, timeout: float):
+        try:
+            if link.conn.poll(timeout):
+                return link.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise _WorkerDied(exc) from exc
+        self._check_alive(link)
+        return None
+
+    def _frame(self, link: ShardLink, arr: np.ndarray):
         shard = self.metrics.shards[link.shard_id]
-        if kind == "flush":
-            link.pending[seq] = _Pending("flush", None, 0)
-            self._conn_send(link, ("flush", seq, None, None, None, trace))
-            return
-        began = time.perf_counter()
         segment = None
-        if self.small_batch_elements < arr.size <= link.ring.capacity:
+        if self.policies.small_batch_elements < arr.size \
+                <= link.ring.capacity:
             segment = link.ring.try_write(arr)
             while segment is None and link.ring.live_segments:
                 # Ring full: block on acks until slots free (this is the
@@ -859,280 +152,14 @@ class MpShardedMiner(_PoolQueryMixin):
                 # and the replay log tracks the same entries).
                 if link.failed is not None:
                     raise link.failed
-                self._wait_one_message(link, 0.2)
+                self._wait_one_message(link, self._POLL)
                 segment = link.ring.try_write(arr)
         if segment is not None:
-            message = ("batch", seq, "shm", segment[0], segment[1], trace)
             shard.shm_batches += 1
-        else:
-            # Tiny batch, or one larger than the whole ring: pickle it.
-            message = ("batch", seq, "inline", arr, None, trace)
-            shard.pickle_batches += 1
-        link.pending[seq] = _Pending("batch", segment, int(arr.size))
-        self._conn_send(link, message)
-        shard.transport_seconds += time.perf_counter() - began
+            return segment, segment
+        # Tiny batch, or one larger than the whole ring: pickle it.
+        shard.pickle_batches += 1
+        return arr, None
 
-    def _wait_one_message(self, link: _ShardLink, timeout: float) -> bool:
-        """Receive and apply one worker message; detect worker death."""
-        try:
-            if link.conn.poll(timeout):
-                message = link.conn.recv()
-            else:
-                if link.proc is None or not link.proc.is_alive():
-                    code = link.proc.exitcode if link.proc else None
-                    raise _WorkerDied(RuntimeError(
-                        f"shard {link.shard_id} worker exited with "
-                        f"code {code}"))
-                return False
-        except (EOFError, OSError) as exc:
-            raise _WorkerDied(exc) from exc
-        self._apply_message(link, message)
-        return True
-
-    def _apply_message(self, link: _ShardLink, message) -> None:
-        kind = message[0]
-        if kind == "ack":
-            self._apply_ack(link, message)
-        elif kind == "result":
-            link.results[message[1]] = message[2]
-        elif kind == "error":
-            # The guard escalated (no fallback + persistent faults):
-            # the worker is alive but the shard cannot make progress.
-            _, seq, detail = message
-            entry = link.pending.pop(seq, None)
-            if entry is not None and entry.segment is not None:
-                link.ring.free(*entry.segment)
-            link.acked = max(link.acked, seq)
-            shard = self.metrics.shards[link.shard_id]
-            shard.healthy = False
-            shard.last_error = detail
-            link.failed = ShardFailedError(
-                link.shard_id, f"shard {link.shard_id}: {detail}")
-        elif kind == "fatal":
-            raise _WorkerDied(RuntimeError(message[1]))
-
-    def _apply_ack(self, link: _ShardLink, message) -> None:
-        _, seq, is_batch, elements, busy, delta, spans = message
-        entry = link.pending.pop(seq, None)
-        if entry is not None and entry.segment is not None:
-            link.ring.free(*entry.segment)
-        link.acked = max(link.acked, seq)
-        link.acks_since_snap += 1
-        if seq <= link.counted:
-            return  # replayed work: already accounted before the crash
-        link.counted = seq
-        shard = self.metrics.shards[link.shard_id]
-        if is_batch:
-            shard.record_batch(elements, busy)
-        else:
-            shard.update_seconds += busy
-        shard.faults += delta["faults"]
-        shard.retries += delta["retries"]
-        shard.degraded_batches += delta["degraded_batches"]
-        shard.breaker_state = delta["breaker_state"]
-        if delta["last_error"]:
-            shard.last_error = delta["last_error"]
-        if spans:
-            col = collector()
-            if col.enabled:
-                for name, wall, count, attrs in spans:
-                    attrs = {k: v for k, v in attrs.items()
-                             if k not in ("shard", "count")}
-                    col.record(name, wall, shard=link.shard_id,
-                               count=count, **attrs)
-
-    def _pump_until(self, link: _ShardLink, predicate) -> None:
-        while not predicate():
-            if link.failed is not None:
-                raise link.failed
-            self._wait_one_message(link, 0.2)
-
-    def _settle(self, link: _ShardLink) -> None:
-        """Block until every sent batch/flush of this shard is acked."""
-        while True:
-            try:
-                self._pump_until(link, lambda: link.acked >= link.sent)
-                return
-            except _WorkerDied as died:
-                self._restart_and_replay(link, died.cause)
-
-    def _request(self, link: _ShardLink, command: str):
-        """Settled synchronous round-trip (state/snapshot gathers)."""
-        with link.lock:
-            if link.failed is not None:
-                raise link.failed
-            self._settle(link)
-            while True:
-                seq = self._fresh_seq(link)
-                try:
-                    self._conn_send(link, (command, seq))
-                    self._pump_until(link, lambda: seq in link.results)
-                    return link.results.pop(seq)
-                except _WorkerDied as died:
-                    self._restart_and_replay(link, died.cause)
-                    self._settle(link)
-
-    def _maybe_snapshot(self, link: _ShardLink) -> None:
-        """Cut an internal restart point; truncate the replay log."""
-        if link.acks_since_snap < self.snapshot_every:
-            return
-        state = self._request(link, "snapshot")
-        link.snap = {"miner": state}
-        link.snap_seq = link.sent
-        link.replay = [entry for entry in link.replay
-                       if entry[0] > link.snap_seq]
-        link.acks_since_snap = 0
-
-    # ------------------------------------------------------------------
-    # ingestion (the ShardedMiner surface)
-    # ------------------------------------------------------------------
-    def ingest(self, chunk: np.ndarray | list[float]) -> None:
-        """Route one chunk across the worker pool (synchronous path)."""
-        parts = self.partitioner.split(chunk)
-        for shard_id, part in enumerate(parts):
-            self.dispatch(shard_id, part)
-        self.metrics.ingested += sum(int(p.size) for p in parts)
-
-    def dispatch(self, shard_id: int, values: np.ndarray) -> None:
-        """Send one pre-routed batch to a shard's worker (pipelined).
-
-        Returns as soon as the batch is framed and on the wire — the
-        worker's ack arrives later and is folded into the metrics
-        opportunistically.  Unlike the inline pool, consecutive
-        dispatches to *different* shards genuinely overlap: each worker
-        sorts its backlog while the parent keeps routing.
-        """
-        arr = np.ascontiguousarray(
-            np.asarray(values, dtype=np.float32).ravel())
-        if arr.size == 0:
-            return
-        link = self._links[shard_id]
-        with link.lock:
-            if link.failed is not None:
-                raise link.failed
-            try:
-                while link.conn.poll(0):  # fold in any ready acks
-                    self._wait_one_message(link, 0)
-            except _WorkerDied as died:
-                self._restart_and_replay(link, died.cause)
-            seq = self._fresh_seq(link)
-            link.replay.append((seq, "batch", arr))
-            link.sent = seq
-            try:
-                self._transmit(link, seq, "batch", arr,
-                               trace=collector().enabled)
-            except _WorkerDied as died:
-                self._restart_and_replay(link, died.cause)
-            self._maybe_snapshot(link)
-
-    def drain(self) -> None:
-        """Flush every worker's partial batch and wait for the acks.
-
-        Flushes are sent to *all* shards first, then awaited — shards
-        drain concurrently.
-        """
-        for link in self._links:
-            with link.lock:
-                if link.failed is not None:
-                    raise link.failed
-                seq = self._fresh_seq(link)
-                link.replay.append((seq, "flush", None))
-                link.sent = seq
-                try:
-                    self._transmit(link, seq, "flush", None,
-                                   trace=collector().enabled)
-                except _WorkerDied as died:
-                    self._restart_and_replay(link, died.cause)
-        for link in self._links:
-            with link.lock:
-                self._settle(link)
-                self._maybe_snapshot(link)
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore (same "sharded-miner" v1 format)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_snapshot(cls, state: dict, backend: str | None = None,
-                      **kwargs) -> "MpShardedMiner":
-        """Rebuild a worker pool from a ``sharded-miner`` v1 snapshot.
-
-        Accepts checkpoints written by either executor — worker
-        processes boot directly from their shard's restore point.
-        """
-        if state.get("kind") != "sharded-miner" or state.get("version") != 1:
-            raise ServiceError(
-                f"not a v1 sharded-miner state: {state.get('kind')!r} "
-                f"v{state.get('version')!r}")
-        window_size = state.get("window_size")
-        shards = state["shards"]
-        if "partitioner" not in kwargs:
-            # Rebuild the exact router kind the checkpoint was cut
-            # under (round-robin / hash / consistent-hash).
-            kwargs["partitioner"] = partitioner_from_state(
-                state["partitioner"])
-        pool = cls(state["statistic"], eps=float(state["eps"]),
-                   num_shards=int(state["num_shards"]),
-                   backend=backend if backend is not None
-                   else state["backend"],
-                   window_size=(int(window_size) if window_size is not None
-                                else None),
-                   stream_length_hint=int(state["stream_length_hint"]),
-                   kind=state.get("estimator_kind"),
-                   shard_states=[{"miner": s["miner"]} for s in shards],
-                   retired=state.get("retired"),
-                   **kwargs)
-        pool.partitioner.restore_state(state["partitioner"])
-        pool.metrics.ingested = int(state["ingested"])
-        for shard, shard_state in zip(pool.metrics.shards, shards):
-            shard.elements = int(shard_state.get("elements", 0))
-            shard.batches = int(shard_state.get("batches", 0))
-        return pool
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop the workers (gracefully where possible) and free the rings.
-
-        Idempotent; also runs via a GC finalizer as a safety net, but
-        call it explicitly (or use the context manager) — worker
-        processes and shared-memory blocks are real OS resources.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        for link in self._links:
-            with link.lock:
-                proc, conn = link.proc, link.conn
-                if (proc is not None and proc.is_alive()
-                        and link.failed is None):
-                    try:
-                        link.conn.send(("stop", self._fresh_seq(link)))
-                    except (OSError, ValueError):
-                        pass
-                if proc is not None:
-                    proc.join(timeout=timeout)
-                    if proc.is_alive():  # pragma: no cover - stuck worker
-                        proc.terminate()
-                        proc.join(timeout=timeout)
-                if conn is not None:
-                    try:
-                        conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
-                link.proc = link.conn = None
-                link.ring.close()
-
-    def _reshard_kwargs(self) -> dict:
-        """Constructor extras :meth:`reshard` carries onto the new pool."""
-        return {"fault_plan": self.fault_plan, "retry": self.retry,
-                "breaker_failure_threshold": self._breaker_config[0],
-                "breaker_cooldown_batches": self._breaker_config[1],
-                "policies": self.policies,
-                "small_batch_elements": self.small_batch_elements,
-                "snapshot_every": self.snapshot_every,
-                "max_restarts": self.max_restarts}
-
-    def _rebind_finalizer(self) -> None:
-        self._finalizer = weakref.finalize(self, _release_links, self._links)
+    def _release(self, link: ShardLink, segment: tuple[int, int]) -> None:
+        link.ring.free(*segment)

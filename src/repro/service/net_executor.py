@@ -1,8 +1,9 @@
-"""Network shard executor: the ack/replay protocol over TCP.
+"""Network shard executor: the worker-pool protocol over TCP.
 
-:class:`NetShardedMiner` lifts the multiprocess executor's worker
-protocol (per-shard sequence numbers, in-order acks, bounded replay
-log, supervised restarts — DESIGN.md §12) onto framed TCP channels
+:class:`NetShardedMiner` runs the shared worker-pool engine
+(:class:`~repro.service.worker_pool.WorkerPool`: per-shard sequence
+numbers, in-order acks, bounded replay log, supervised restarts —
+DESIGN.md §12) over framed TCP channels
 (:mod:`repro.service.net_transport`), which buys three things pipes
 cannot give:
 
@@ -11,15 +12,13 @@ cannot give:
   deployment (connection loss, partition, reordering, silent peer
   death) all exist and are all handled explicitly;
 * **a deadline/heartbeat/reconnect protocol** — every framed send and
-  receive carries a deadline; an idle worker heartbeats its ``applied``
-  watermark; a worker that loses its connection re-dials with jittered
-  backoff and resumes from the parent's replay log.  Two *sequence
-  spaces* keep this safe: batches/flushes use contiguous stream
-  sequence numbers (the worker applies them strictly in order, stashing
-  out-of-order arrivals, and re-acks duplicates below its watermark),
-  while state/snapshot/stop requests use separate request ids that are
-  only issued on a settled link and re-issued fresh after a reconnect —
-  so a lost request can never wedge the stream behind a sequence gap;
+  request round-trip carries a deadline; an idle worker heartbeats its
+  ``applied`` watermark; a worker that loses its connection re-dials
+  with jittered backoff, re-hellos, and the parent resumes it from the
+  replay log.  The engine's two sequence spaces keep this safe: the
+  worker re-acks replayed batches below its watermark, and a request
+  frame lost to the network is re-issued under a fresh id after
+  ``io_deadline`` instead of hanging behind a heartbeat-quiet worker;
 * **elastic degradation** — when a shard exhausts reconnects *and* its
   restart budget, the pool can *take over* its keyspace instead of
   failing it: the last snapshot's estimator joins the ``retired`` ghost
@@ -28,12 +27,10 @@ cannot give:
   the partitioner routes the dead shard's values elsewhere.  No
   acknowledged element is lost, and the served bounds degrade from
   "bit-identical" to the ordinary merge bounds (see
-  :class:`~repro.service.mp_executor._PoolQueryMixin`).
+  :class:`~repro.service.sharded.ShardPool`).  With
+  ``policies.takeover`` off the shard fails for good, as under mp.
 
-The worker side (:func:`_net_worker_main`) reuses the multiprocess
-worker's guarded dispatch (:func:`~repro.service.mp_executor._run_guarded`)
-verbatim, so retry/degradation semantics do not depend on the
-transport.  Fault injection is parent-side only
+Fault injection is parent-side only
 (:class:`~repro.service.net_transport.NetFaultInjector`): workers
 experience injected drops/partitions as disconnects — exactly what the
 reconnect protocol must absorb.
@@ -41,253 +38,80 @@ reconnect protocol must absorb.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 import uuid
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from threading import RLock
 
 import numpy as np
 
-from ..backends import cpu_fallback_for
 from ..core.distinct.kmv import hash_values
-from ..core.engine import StreamMiner
-from ..core.estimators import default_kind_for, estimator_capabilities
 from ..errors import ServiceError, ShardFailedError
-from ..gpu.device import GpuDevice
-from ..gpu.faults import FaultInjector, FaultPlan
-from ..obs import collecting, collector
-from .metrics import ServiceMetrics, ShardMetrics
-from .mp_executor import (_counter_delta, _pack_spans, _PoolQueryMixin,
-                          _report_state, _run_guarded, _WorkerDied)
+from ..obs import collector
 from .net_transport import (ChannelClosed, ChannelTimeout, FrameChannel,
                             Listener, NetFaultInjector, NetFaultPlan, connect)
-from .policies import DEFAULT_POLICIES, ServicePolicies
-from .resilience import CircuitBreaker, RetryPolicy, ShardGuard
-from .sharding import default_partitioner, partitioner_from_state
+from .worker_pool import ShardLink, ShardWorker, WorkerPool, _WorkerDied
 
 __all__ = ["NetShardedMiner"]
 
 
-@dataclass
-class _NetLink:
-    """Parent-side bookkeeping for one remote shard."""
-
-    shard_id: int
-    lock: RLock = field(default_factory=RLock)
-    proc: multiprocessing.Process | None = None
-    chan: FrameChannel | None = None
-    window_size: int = 0
-    next_seq: int = 0
-    next_req: int = 0
-    #: highest batch/flush sequence sent (requests have their own ids).
-    sent: int = 0
-    #: highest sequence acknowledged on the current connection epoch.
-    acked: int = 0
-    #: contiguous metrics watermark (acks can arrive out of order over
-    #: TCP with injected reordering; ``counted_extra`` holds counted
-    #: sequences above the watermark until the gap closes).
-    counted: int = 0
-    counted_extra: set = field(default_factory=set)
-    #: seq -> element count, unacknowledged work (backpressure + loss
-    #: accounting).
-    pending: OrderedDict = field(default_factory=OrderedDict)
-    #: (seq, kind, float32 array | None) entries since the last snapshot.
-    replay: list = field(default_factory=list)
-    #: last worker snapshot ({"miner": state}) — restart/takeover point.
-    snap: dict | None = None
-    snap_seq: int = 0
-    acks_since_snap: int = 0
-    results: dict = field(default_factory=dict)
-    failed: ShardFailedError | None = None
-    #: True once this shard's keyspace was reassigned to survivors.
-    taken_over: bool = False
-    #: the next attached connection must be fed the replay log first.
-    needs_replay: bool = False
-    #: hellos seen from the *current* worker process (>1 == reconnect).
-    proc_sessions: int = 0
-    #: monotonic time of the last frame received (liveness input).
-    last_recv: float = 0.0
-    #: monotonic time the current parent-side wait began (so liveness
-    #: measures silence *during a wait*, not since some old activity).
-    wait_anchor: float = 0.0
+def _decode(body) -> np.ndarray:
+    return np.asarray(body, dtype=np.float32).ravel()
 
 
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
 def _net_worker_main(shard_id: int, host: str, port: int, token: str,
                      config: dict) -> None:
     """One shard's process: dial the pool, serve commands, survive
     disconnects by re-dialing and resuming from ``applied``."""
-    device = None
-    plan = config["fault_plan"]
-    if config["backend"] == "gpu" and plan is not None:
-        device = GpuDevice(fault_injector=FaultInjector(
-            plan.reseeded(plan.seed + shard_id)))
-    snap = config["snapshot"]
-    if snap is not None:
-        miner = StreamMiner.from_snapshot(
-            snap["miner"], backend=config["backend"], device=device)
-    else:
-        miner = StreamMiner(
-            config["statistic"], eps=config["eps"],
-            backend=config["backend"], mode="history",
-            window_size=config["window_size"], device=device,
-            stream_length_hint=config["length_hint"],
-            kind=config.get("kind"))
-    metrics = ShardMetrics(shard_id)
-    guard = ShardGuard(
-        shard_id, miner, miner.sorter,
-        cpu_fallback_for(miner.sorter, cpu_speedup=miner._cpu_speedup),
-        config["retry"], CircuitBreaker(*config["breaker"]),
-        np.random.default_rng((2005, shard_id)), metrics)
-    reported = {"faults": 0, "retries": 0, "degraded_batches": 0}
-    # The applied watermark lives in a mutable holder: _net_serve
-    # advances it per applied batch, and it must survive the exception
-    # that ends a connection — a stale watermark would make the worker
-    # re-apply replayed batches it already summarised.
-    progress = {"applied": int(config["applied"])}
-    #: out-of-order stream messages waiting for their predecessors.
-    stash: dict[int, tuple] = {}
+    policies = config["policies"]
+    worker = ShardWorker(shard_id, config)
     rng = np.random.default_rng((2005, shard_id, 101))
-    reconnect: RetryPolicy = config["reconnect"]
     attempt = 0
+    chan = None
+
+    def recv():
+        while True:
+            try:
+                return chan.recv(timeout=policies.heartbeat_interval)
+            except ChannelTimeout:
+                # Nothing inbound: prove liveness with the watermark.
+                send(("hb", worker.applied))
+
+    def send(message) -> None:
+        chan.send(message, timeout=policies.io_deadline)
+
     try:
         while True:
             try:
-                chan = connect(host, port, config["connect_timeout"])
+                chan = connect(host, port, policies.connect_timeout)
             except ChannelClosed:
                 attempt += 1
-                if attempt >= reconnect.max_attempts:
+                if attempt >= policies.reconnect.max_attempts:
                     return  # parent is gone for good
-                time.sleep(reconnect.delay(attempt, rng))
+                time.sleep(policies.reconnect.delay(attempt, rng))
                 continue
             attempt = 0
-            stash.clear()
+            worker.stash.clear()
             try:
-                chan.send(("hello", shard_id, token, progress["applied"],
-                           int(miner.window_size)),
-                          timeout=config["io_deadline"])
-                _net_serve(chan, miner, guard, reported, progress,
-                           stash, config)
+                send(("hello", shard_id, token, worker.applied,
+                      int(worker.miner.window_size)))
+                worker.serve(recv, send, _decode)
                 return  # clean stop
             except (ChannelClosed, ChannelTimeout):
                 chan.close()
                 continue  # re-dial; miner state is intact
     except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
         return
-    except _NetStop:
-        return
     except Exception as exc:  # pragma: no cover - supervised restart path
         try:
             chan.send(("fatal", repr(exc)), timeout=5.0)
-        except (ChannelClosed, ChannelTimeout, UnboundLocalError):
+        except (ChannelClosed, ChannelTimeout, AttributeError):
             pass
         raise
 
 
-class _NetStop(Exception):
-    """Internal: clean worker shutdown requested by the parent."""
-
-
-def _net_serve(chan: FrameChannel, miner, guard, reported, progress: dict,
-               stash: dict, config: dict) -> None:
-    """Serve one connection until it breaks or the parent says stop."""
-    deadline = config["io_deadline"]
-    while True:
-        try:
-            message = chan.recv(timeout=config["heartbeat"])
-        except ChannelTimeout:
-            # Nothing inbound: prove liveness with the applied watermark.
-            chan.send(("hb", progress["applied"]), timeout=deadline)
-            continue
-        kind = message[0]
-        if kind in ("batch", "flush"):
-            seq = int(message[1])
-            if seq <= progress["applied"]:
-                # Replayed work this miner already applied (its ack was
-                # lost with the old connection): re-ack synthetically so
-                # the parent's watermark catches up.
-                elements = 0
-                if kind == "batch":
-                    elements = int(np.asarray(message[2]).size)
-                chan.send(("ack", seq, kind == "batch", elements, 0.0,
-                           _counter_delta(guard.metrics, reported), []),
-                          timeout=deadline)
-                continue
-            stash[seq] = message
-            while progress["applied"] + 1 in stash:
-                progress["applied"] += 1
-                _net_apply(chan, miner, guard, reported,
-                           stash.pop(progress["applied"]), deadline)
-        elif kind == "state":
-            chan.send(("result", message[1], {
-                "estimator": miner.estimator.to_state(),
-                "processed": int(miner.estimator.processed),
-                "buffered": int(miner.buffered),
-                "report": _report_state(miner.report)}), timeout=deadline)
-        elif kind == "snapshot":
-            chan.send(("result", message[1], miner.snapshot()),
-                      timeout=deadline)
-        elif kind == "stop":
-            chan.send(("result", message[1], None), timeout=deadline)
-            raise _NetStop()
-        else:  # pragma: no cover - protocol error
-            raise ServiceError(f"unknown command {kind!r}")
-
-
-def _net_apply(chan, miner, guard, reported, message, deadline) -> None:
-    """Apply one in-order batch/flush and acknowledge it."""
-    kind, seq = message[0], int(message[1])
-    if kind == "batch":
-        arr = np.asarray(message[2], dtype=np.float32).ravel()
-        trace = message[3]
-        elements = int(arr.size)
-    else:
-        arr, elements = None, 0
-        trace = message[2]
-    began = time.process_time()
-    spans: list = []
-    try:
-        if trace:
-            with collecting() as col:
-                _run_guarded(miner, guard, kind, arr)
-            spans = _pack_spans(col.snapshot())
-        else:
-            _run_guarded(miner, guard, kind, arr)
-    except ShardFailedError as exc:
-        chan.send(("error", seq, repr(exc)), timeout=deadline)
-        return
-    busy = time.process_time() - began
-    if kind == "batch" and trace:
-        spans.append(("service.dispatch", busy, 1, {"elements": elements}))
-    chan.send(("ack", seq, kind == "batch", elements, busy,
-               _counter_delta(guard.metrics, reported), spans),
-              timeout=deadline)
-
-
-def _release_net_links(links, listener) -> None:
-    """GC/exit safety net: reap workers, close sockets."""
-    for link in links:
-        proc = link.proc
-        if proc is not None and proc.is_alive():
-            proc.terminate()
-        if link.chan is not None:
-            link.chan.close()
-    listener.close()
-
-
-# ----------------------------------------------------------------------
-# parent side
-# ----------------------------------------------------------------------
-class NetShardedMiner(_PoolQueryMixin):
+class NetShardedMiner(WorkerPool):
     """Network drop-in for :class:`~repro.service.sharded.ShardedMiner`.
 
-    Parameters mirror :class:`~repro.service.mp_executor.MpShardedMiner`
-    minus the shared-memory knobs (batches ride the framed channel);
+    Parameters are :class:`~repro.service.worker_pool.WorkerPool`'s;
     the extras are:
 
     net_fault_plan:
@@ -297,155 +121,45 @@ class NetShardedMiner(_PoolQueryMixin):
     host:
         Listener bind address (default loopback — workers are local
         processes; the protocol itself is location-transparent).
-    policies:
-        :class:`~repro.service.policies.ServicePolicies` also supplies
-        the net-specific knobs: ``heartbeat_interval``,
-        ``liveness_timeout``, ``io_deadline``, ``connect_timeout``,
-        ``reconnect`` (worker re-dial backoff), ``reconnect_deadline``
-        (how long the parent waits for a re-dial before a supervised
-        restart), ``max_inflight_batches`` (backpressure window) and
-        ``takeover`` (degrade to survivors instead of failing).
+
+    :class:`~repro.service.policies.ServicePolicies` also supplies the
+    net-only settings: ``heartbeat_interval``, ``liveness_timeout``,
+    ``io_deadline``, ``connect_timeout``, ``reconnect`` (worker re-dial
+    backoff), ``reconnect_deadline`` (how long the parent waits for a
+    re-dial before a supervised restart), ``max_inflight_batches``
+    (backpressure window) and ``takeover`` (degrade to survivors
+    instead of failing).
     """
 
-    def __init__(self, statistic: str = "quantile", eps: float = 0.01,
-                 num_shards: int = 4, backend: str = "cpu",
-                 window_size: int | None = None,
-                 partitioner=None,
-                 stream_length_hint: int = 100_000_000,
-                 fault_plan: FaultPlan | None = None,
-                 retry: RetryPolicy | None = None,
-                 breaker_failure_threshold: int | None = None,
-                 breaker_cooldown_batches: int | None = None, *,
-                 snapshot_every: int | None = None,
-                 max_restarts: int | None = None,
-                 policies: ServicePolicies | None = None,
-                 net_fault_plan: NetFaultPlan | None = None,
-                 host: str = "127.0.0.1",
-                 mp_context: str = "spawn",
-                 kind: str | None = None,
-                 shard_states: list[dict] | None = None,
-                 retired: list[dict] | None = None):
-        if num_shards < 1:
-            raise ServiceError(f"need >= 1 shard, got {num_shards}")
-        if statistic not in ("quantile", "frequency", "distinct"):
-            raise ServiceError(f"unknown statistic {statistic!r}")
-        if kind is not None and kind == default_kind_for(statistic):
-            kind = None
-        if kind is not None:
-            caps = estimator_capabilities(kind)
-            if caps.statistic != statistic:
-                raise ServiceError(
-                    f"estimator kind {kind!r} serves statistic "
-                    f"{caps.statistic!r}, not {statistic!r}")
-            if not caps.mergeable:
-                raise ServiceError(
-                    f"estimator kind {kind!r} is not mergeable; the "
-                    "sharded pools need merge-on-query")
-        if not 0.0 < eps < 1.0:
-            raise ServiceError(f"eps must be in (0, 1), got {eps}")
-        if not isinstance(backend, str):
-            raise ServiceError(
-                "the net executor ships the backend name to worker "
-                "processes; pass a registered backend name, not an object")
-        if fault_plan is not None and backend != "gpu":
-            raise ServiceError(
-                "fault injection targets the simulated GPU; "
-                f"backend is {backend!r}")
-        pol = policies if policies is not None else DEFAULT_POLICIES
-        if not isinstance(pol, ServicePolicies):
-            raise ServiceError(
-                f"policies must be a ServicePolicies, got {pol!r}")
-        self.policies = pol
-        if snapshot_every is None:
-            snapshot_every = pol.snapshot_every
-        if max_restarts is None:
-            max_restarts = pol.max_restarts
-        if breaker_failure_threshold is None:
-            breaker_failure_threshold = pol.breaker_failure_threshold
-        if breaker_cooldown_batches is None:
-            breaker_cooldown_batches = pol.breaker_cooldown_batches
-        if max_restarts < 0:
-            raise ServiceError(
-                f"max_restarts must be >= 0, got {max_restarts}")
-        if snapshot_every < 1:
-            raise ServiceError(
-                f"snapshot_every must be >= 1, got {snapshot_every}")
-        if shard_states is not None and len(shard_states) != num_shards:
-            raise ServiceError(
-                f"got {len(shard_states)} shard states for "
-                f"{num_shards} shards")
-        self.statistic = statistic
-        self.kind = kind
-        self.eps = float(eps)
-        self.num_shards = int(num_shards)
-        self.partitioner = (partitioner if partitioner is not None
-                            else default_partitioner(statistic, num_shards))
-        if statistic == "frequency" and not hasattr(
-                self.partitioner, "shard_of"):
-            raise ServiceError(
-                "frequency sharding needs a value-routing partitioner")
-        self._backend_kind = backend
-        self._window_size_arg = (int(window_size) if window_size is not None
-                                 else None)
-        self._stream_length_hint = int(stream_length_hint)
-        self.fault_plan = fault_plan
+    _POLL = 0.05
+
+    def __init__(self, *args, net_fault_plan: NetFaultPlan | None = None,
+                 host: str = "127.0.0.1", **kwargs):
         self.net_fault_plan = net_fault_plan
-        self.retry = retry if retry is not None else pol.retry
-        self._breaker_config = (int(breaker_failure_threshold),
-                                int(breaker_cooldown_batches))
-        self.snapshot_every = int(snapshot_every)
-        self.max_restarts = int(max_restarts)
-        self.retired = [dict(state) for state in (retired or [])]
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._host = host
+        super().__init__(*args, **kwargs)
+
+    def _open_transport(self) -> None:
         #: pool identity: hellos must present it, so a stray dialer (or
         #: a worker from a previous pool on a recycled port) is refused.
         self._token = uuid.uuid4().hex
-        self._injector = (NetFaultInjector(net_fault_plan)
-                          if net_fault_plan is not None else None)
-        self._listener = Listener(host, 0, injector=self._injector)
-        self._host = host
-        self.metrics = ServiceMetrics(
-            shards=[ShardMetrics(i) for i in range(self.num_shards)])
-        self._closed = False
+        self._injector = (NetFaultInjector(self.net_fault_plan)
+                          if self.net_fault_plan is not None else None)
+        self._listener = Listener(self._host, 0, injector=self._injector)
         #: survivor rotation for non-value-routed takeover traffic.
         self._reroute_cursor = 0
-        self._links = [_NetLink(shard_id)
-                       for shard_id in range(self.num_shards)]
-        if shard_states is not None:
-            for link, state in zip(self._links, shard_states):
-                link.snap = state
-        self._finalizer = weakref.finalize(
-            self, _release_net_links, self._links, self._listener)
-        try:
-            for link in self._links:
-                self._spawn(link)
-            for link in self._links:
-                self._await_attach(link)
-        except BaseException:
-            self.close()
-            raise
+
+    def _resources(self) -> list:
+        return [self._listener]
+
+    def _reshard_kwargs(self) -> dict:
+        return {**super()._reshard_kwargs(),
+                "net_fault_plan": self.net_fault_plan, "host": self._host}
 
     # ------------------------------------------------------------------
-    # worker lifecycle
+    # worker lifecycle: spawn, hello/attach
     # ------------------------------------------------------------------
-    def _worker_config(self, link: _NetLink) -> dict:
-        pol = self.policies
-        return {"statistic": self.statistic, "eps": self._shard_eps,
-                "kind": self.kind,
-                "backend": self._backend_kind,
-                "window_size": self._window_size_arg,
-                "length_hint": self._shard_hint,
-                "fault_plan": self.fault_plan,
-                "retry": self.retry,
-                "breaker": self._breaker_config,
-                "snapshot": link.snap,
-                "applied": link.snap_seq,
-                "heartbeat": pol.heartbeat_interval,
-                "io_deadline": pol.io_deadline,
-                "connect_timeout": pol.connect_timeout,
-                "reconnect": pol.reconnect}
-
-    def _spawn(self, link: _NetLink) -> None:
+    def _spawn(self, link: ShardLink) -> None:
         proc = self._ctx.Process(
             target=_net_worker_main,
             args=(link.shard_id, self._listener.address[0],
@@ -482,9 +196,8 @@ class NetShardedMiner(_PoolQueryMixin):
         if link.taken_over or link.failed is not None:
             chan.close()
             return
-        if link.chan is not None:
-            link.chan.close()
-        link.chan = chan
+        self._disconnect(link)
+        link.conn = chan
         link.window_size = int(window_size)
         link.proc_sessions += 1
         if link.proc_sessions > 1:
@@ -494,11 +207,11 @@ class NetShardedMiner(_PoolQueryMixin):
         link.needs_replay = True
         link.last_recv = time.monotonic()
 
-    def _await_attach(self, link: _NetLink) -> None:
+    def _await_ready(self, link: ShardLink) -> None:
         deadline = time.monotonic() + self.policies.ready_timeout
-        while link.chan is None:
+        while link.conn is None:
             self._pump_listener()
-            if link.chan is not None:
+            if link.conn is not None:
                 break
             if link.proc is None or not link.proc.is_alive():
                 raise ServiceError(
@@ -511,117 +224,87 @@ class NetShardedMiner(_PoolQueryMixin):
                     f"{self.policies.ready_timeout:.0f}s")
             time.sleep(0.005)
 
-    def _cleanup_worker(self, link: _NetLink) -> None:
-        if link.chan is not None:
-            link.chan.close()
-            link.chan = None
-        if link.proc is not None:
-            if link.proc.is_alive():
-                link.proc.terminate()
-            link.proc.join(timeout=10.0)
-        link.proc = None
+    # ------------------------------------------------------------------
+    # framing, deadlines, liveness
+    # ------------------------------------------------------------------
+    def _send(self, link: ShardLink, message) -> None:
+        if link.conn is None:
+            raise _WorkerDied(RuntimeError(
+                f"shard {link.shard_id} has no connection"))
+        try:
+            link.conn.send(message, timeout=self.policies.io_deadline)
+        except ChannelTimeout as exc:
+            self.metrics.shards[link.shard_id].deadline_timeouts += 1
+            raise _WorkerDied(exc) from exc
+        except ChannelClosed as exc:
+            raise _WorkerDied(exc) from exc
+
+    def _receive(self, link: ShardLink, timeout: float):
+        self._pump_listener()
+        if link.needs_replay and link.conn is not None:
+            self._replay(link)
+        if link.conn is None:
+            raise _WorkerDied(RuntimeError(
+                f"shard {link.shard_id} has no connection"))
+        try:
+            # A zero deadline would expire before the socket is read even
+            # once; the floor lets an already-arrived frame be drained.
+            message = link.conn.recv(timeout=max(timeout, 0.002))
+        except ChannelTimeout:
+            self._check_alive(link)
+            idle = time.monotonic() - max(link.last_recv, link.wait_anchor)
+            if idle > self.policies.liveness_timeout:
+                self.metrics.shards[link.shard_id].deadline_timeouts += 1
+                raise _WorkerDied(RuntimeError(
+                    f"shard {link.shard_id} silent for {idle:.1f}s "
+                    f"(liveness timeout "
+                    f"{self.policies.liveness_timeout:.1f}s)"))
+            return None
+        except ChannelClosed as exc:
+            raise _WorkerDied(exc) from exc
+        link.last_recv = time.monotonic()
+        return message
+
+    def _frame(self, link: ShardLink, arr: np.ndarray):
+        self.metrics.shards[link.shard_id].net_batches += 1
+        return arr, None
+
+    def _admit(self, link: ShardLink) -> None:
+        # Backpressure: bound the unacknowledged window.
+        while len(link.pending) >= self.policies.max_inflight_batches:
+            self._wait_one_message(link, self._POLL)
+
+    def _request_deadline(self) -> float:
+        # The worker heartbeats, so liveness alone would never notice a
+        # request frame swallowed by injected reordering.
+        return time.monotonic() + self.policies.io_deadline
 
     # ------------------------------------------------------------------
-    # replay / recovery
+    # re-dial and keyspace takeover
     # ------------------------------------------------------------------
-    def _replay(self, link: _NetLink) -> None:
-        """Feed the replay log to a freshly attached connection."""
-        link.needs_replay = False
-        link.pending.clear()
-        link.acked = link.snap_seq
-        shard = self.metrics.shards[link.shard_id]
-        for seq, kind, arr in list(link.replay):
-            if kind == "batch":
-                shard.replayed_batches += 1
-            self._transmit(link, seq, kind, arr, trace=False)
-
-    def _restart(self, link: _NetLink, cause) -> None:
-        """Supervised respawn from the last snapshot (no replay yet).
-
-        Raises :class:`ShardFailedError` once the restart budget is
-        exhausted — *without* mutating loss accounting, so the caller
-        can still choose takeover over permanent failure.
-        """
-        shard = self.metrics.shards[link.shard_id]
-        self._cleanup_worker(link)
-        if shard.restarts >= self.max_restarts:
-            exc = ShardFailedError(
-                link.shard_id,
-                f"shard {link.shard_id} worker died and the restart "
-                f"budget ({self.max_restarts}) is exhausted")
-            if isinstance(cause, BaseException):
-                exc.__cause__ = cause
-            raise exc
-        shard.restarts += 1
-        link.results.clear()
-        link.acked = link.snap_seq
-        link.acks_since_snap = 0
-        link.needs_replay = False
-        self._spawn(link)
-        self._await_attach(link)
-
-    def _restart_and_replay(self, link: _NetLink, cause) -> None:
-        while True:
-            self._restart(link, cause)
-            try:
-                self._replay(link)
-                return
-            except _WorkerDied as died:  # died again mid-replay
-                cause = died.cause
-                shard = self.metrics.shards[link.shard_id]
-                shard.failures += 1
-                shard.last_error = repr(cause)
-
-    def _recover(self, link: _NetLink, cause) -> bool:
-        """Bring the shard back after a link failure.
-
-        Escalation ladder: wait for the worker to re-dial (it keeps its
-        miner state, so resuming costs one replay of the unacked
-        suffix) -> supervised restart from the last snapshot -> take
-        over the shard's keyspace -> permanent failure.  Returns True
-        if the shard is live again, False if it was taken over (the
-        caller must not touch the link further); raises
-        :class:`ShardFailedError` on permanent failure.
-        """
-        shard = self.metrics.shards[link.shard_id]
-        shard.failures += 1
-        shard.last_error = repr(cause)
-        if link.chan is not None:
-            link.chan.close()
-            link.chan = None
+    def _await_redial(self, link: ShardLink) -> bool:
+        """Wait out ``reconnect_deadline`` for the live worker to re-dial
+        (it keeps its miner, so resuming costs one replay of the unacked
+        suffix).  False once nobody is left to re-dial."""
+        self._disconnect(link)
         deadline = time.monotonic() + self.policies.reconnect_deadline
         while time.monotonic() < deadline:
             self._pump_listener()
-            if link.chan is not None:
+            if link.conn is not None:
                 try:
                     self._replay(link)
                     return True
                 except _WorkerDied as died:
-                    cause = died.cause
-                    shard.last_error = repr(cause)
-                    if link.chan is not None:
-                        link.chan.close()
-                        link.chan = None
+                    self.metrics.shards[link.shard_id].last_error = repr(
+                        died.cause)
+                    self._disconnect(link)
                     continue
             if link.proc is None or not link.proc.is_alive():
-                break  # nobody left to re-dial; go supervise
+                break  # go supervise
             time.sleep(0.01)
-        try:
-            self._restart_and_replay(link, cause)
-            return True
-        except ShardFailedError as exc:
-            survivors = [other for other in self._links
-                         if other is not link and not other.taken_over
-                         and other.failed is None]
-            if self.policies.takeover and survivors:
-                self._take_over(link, exc)
-                return False
-            shard.healthy = False
-            shard.lost_elements += sum(link.pending.values())
-            link.failed = exc
-            raise
+        return False
 
-    def _take_over(self, link: _NetLink, cause) -> None:
+    def _take_over(self, link: ShardLink, cause) -> bool:
         """Reassign a dead shard's keyspace to the survivors.
 
         The last snapshot's estimator becomes a ghost (its history joins
@@ -629,8 +312,14 @@ class NetShardedMiner(_PoolQueryMixin):
         replay log's batches — everything accepted but not yet in that
         estimator — are re-routed to surviving shards.  No acknowledged
         element is lost; the bit-identical guarantee degrades to the
-        ordinary merge bounds.
+        ordinary merge bounds.  Declined (False) with ``takeover`` off
+        or no survivor left.
         """
+        survivors = [other for other in self._links
+                     if other is not link and not other.taken_over
+                     and other.failed is None]
+        if not (self.policies.takeover and survivors):
+            return False
         shard = self.metrics.shards[link.shard_id]
         link.taken_over = True
         link.failed = None
@@ -641,8 +330,7 @@ class NetShardedMiner(_PoolQueryMixin):
         carry: list[np.ndarray] = []
         if link.snap is not None:
             miner_state = link.snap["miner"]
-            estimator_state = dict(miner_state["estimator"])
-            self.retired.append(estimator_state)
+            self.retired.append(dict(miner_state["estimator"]))
             buffered = list(miner_state.get("buffer", []))
             for window in miner_state.get("pending_windows", []):
                 buffered.extend(window)
@@ -662,6 +350,7 @@ class NetShardedMiner(_PoolQueryMixin):
                        survivors=len(self._live_links()))
         for arr in carry:
             self._reroute(arr)
+        return True
 
     def _reroute(self, values: np.ndarray) -> None:
         """Dispatch elements that belonged to a taken-over shard."""
@@ -706,390 +395,3 @@ class NetShardedMiner(_PoolQueryMixin):
             part = arr[idx == i]
             if part.size:
                 self._dispatch_link(target, part)
-
-    # ------------------------------------------------------------------
-    # transport
-    # ------------------------------------------------------------------
-    def _fresh_seq(self, link: _NetLink) -> int:
-        link.next_seq += 1
-        return link.next_seq
-
-    def _transmit(self, link: _NetLink, seq: int, kind: str,
-                  arr: np.ndarray | None, trace: bool) -> None:
-        if link.chan is None:
-            raise _WorkerDied(RuntimeError(
-                f"shard {link.shard_id} has no connection"))
-        shard = self.metrics.shards[link.shard_id]
-        began = time.perf_counter()
-        if kind == "flush":
-            message = ("flush", seq, trace)
-            link.pending[seq] = 0
-        else:
-            message = ("batch", seq, arr, trace)
-            link.pending[seq] = int(arr.size)
-        try:
-            link.chan.send(message, timeout=self.policies.io_deadline)
-        except ChannelTimeout as exc:
-            shard.deadline_timeouts += 1
-            raise _WorkerDied(exc) from exc
-        except ChannelClosed as exc:
-            raise _WorkerDied(exc) from exc
-        if kind == "batch":
-            shard.net_batches += 1
-        shard.transport_seconds += time.perf_counter() - began
-
-    def _wait_one_message(self, link: _NetLink, timeout: float) -> bool:
-        """Receive and apply one worker frame; detect a dead link."""
-        self._pump_listener()
-        if link.needs_replay and link.chan is not None:
-            self._replay(link)
-        if link.chan is None:
-            raise _WorkerDied(RuntimeError(
-                f"shard {link.shard_id} has no connection"))
-        try:
-            # A zero deadline would expire before the socket is read even
-            # once; the floor lets an already-arrived frame be drained.
-            message = link.chan.recv(timeout=max(timeout, 0.002))
-        except ChannelTimeout:
-            if link.proc is None or not link.proc.is_alive():
-                raise _WorkerDied(RuntimeError(
-                    f"shard {link.shard_id} worker exited with code "
-                    f"{link.proc.exitcode if link.proc else None}"))
-            idle = time.monotonic() - max(link.last_recv, link.wait_anchor)
-            if idle > self.policies.liveness_timeout:
-                self.metrics.shards[link.shard_id].deadline_timeouts += 1
-                raise _WorkerDied(RuntimeError(
-                    f"shard {link.shard_id} silent for {idle:.1f}s "
-                    f"(liveness timeout "
-                    f"{self.policies.liveness_timeout:.1f}s)"))
-            return False
-        except ChannelClosed as exc:
-            raise _WorkerDied(exc) from exc
-        link.last_recv = time.monotonic()
-        self._apply_message(link, message)
-        return True
-
-    def _apply_message(self, link: _NetLink, message) -> None:
-        kind = message[0]
-        if kind == "ack":
-            self._apply_ack(link, message)
-        elif kind == "result":
-            link.results[message[1]] = message[2]
-        elif kind == "hb":
-            pass  # liveness only; last_recv is already refreshed
-        elif kind == "error":
-            # The guard escalated (no fallback + persistent faults):
-            # the worker is alive but the shard cannot make progress.
-            _, seq, detail = message
-            link.pending.pop(seq, None)
-            link.acked = max(link.acked, seq)
-            shard = self.metrics.shards[link.shard_id]
-            shard.healthy = False
-            shard.last_error = detail
-            link.failed = ShardFailedError(
-                link.shard_id, f"shard {link.shard_id}: {detail}")
-        elif kind == "fatal":
-            raise _WorkerDied(RuntimeError(message[1]))
-
-    def _apply_ack(self, link: _NetLink, message) -> None:
-        _, seq, is_batch, elements, busy, delta, spans = message
-        link.pending.pop(seq, None)
-        link.acked = max(link.acked, seq)
-        link.acks_since_snap += 1
-        if seq <= link.counted or seq in link.counted_extra:
-            return  # replayed work: already accounted before the loss
-        if seq == link.counted + 1:
-            link.counted = seq
-            while link.counted + 1 in link.counted_extra:
-                link.counted_extra.discard(link.counted + 1)
-                link.counted += 1
-        else:
-            link.counted_extra.add(seq)
-        shard = self.metrics.shards[link.shard_id]
-        if is_batch:
-            shard.record_batch(elements, busy)
-        else:
-            shard.update_seconds += busy
-        shard.faults += delta["faults"]
-        shard.retries += delta["retries"]
-        shard.degraded_batches += delta["degraded_batches"]
-        shard.breaker_state = delta["breaker_state"]
-        if delta["last_error"]:
-            shard.last_error = delta["last_error"]
-        if spans:
-            col = collector()
-            if col.enabled:
-                for name, wall, count, attrs in spans:
-                    attrs = {k: v for k, v in attrs.items()
-                             if k not in ("shard", "count")}
-                    col.record(name, wall, shard=link.shard_id,
-                               count=count, **attrs)
-
-    def _pump_until(self, link: _NetLink, predicate,
-                    deadline: float | None = None) -> bool:
-        """Pump frames until ``predicate()``; False on deadline expiry."""
-        while not predicate():
-            if link.failed is not None:
-                raise link.failed
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            self._wait_one_message(link, 0.05)
-        return True
-
-    def _settle(self, link: _NetLink) -> None:
-        """Block until every sent batch/flush of this shard is acked
-        (or the shard is taken over — then there is nothing to await)."""
-        while not link.taken_over:
-            try:
-                self._pump_until(link, lambda: link.acked >= link.sent)
-                return
-            except _WorkerDied as died:
-                if not self._recover(link, died.cause):
-                    return  # taken over; pending was re-routed
-
-    def _request(self, link: _NetLink, command: str):
-        """Settled synchronous round-trip (state/snapshot gathers).
-
-        Requests ride their own id space and are only issued on a
-        settled link, so they can always be re-issued fresh after a
-        reconnect.  A request frame swallowed by injected reordering is
-        retried after ``io_deadline`` (the worker heartbeats, so
-        liveness alone would not notice).  If the shard is taken over
-        mid-request, an empty state is returned — its history already
-        moved to ``retired``.
-        """
-        with link.lock:
-            if link.failed is not None:
-                raise link.failed
-            link.wait_anchor = time.monotonic()
-            link.results.clear()
-            self._settle(link)
-            while not link.taken_over:
-                rid = link.next_req = link.next_req + 1
-                try:
-                    if link.chan is None:
-                        raise _WorkerDied(RuntimeError(
-                            f"shard {link.shard_id} has no connection"))
-                    link.chan.send((command, rid),
-                                   timeout=self.policies.io_deadline)
-                    deadline = (time.monotonic()
-                                + self.policies.io_deadline)
-                    if self._pump_until(link, lambda: rid in link.results,
-                                        deadline):
-                        return link.results.pop(rid)
-                    # Deadline passed with a live worker: the request
-                    # frame was lost; re-issue under a fresh id.
-                    self.metrics.shards[link.shard_id].deadline_timeouts \
-                        += 1
-                except (ChannelClosed, ChannelTimeout) as exc:
-                    if not self._recover(link, exc):
-                        break
-                    self._settle(link)
-                except _WorkerDied as died:
-                    if not self._recover(link, died.cause):
-                        break
-                    self._settle(link)
-            return self._empty_request_payload(command)
-
-    def _empty_request_payload(self, command: str):
-        """What a gather sees for a shard taken over mid-request."""
-        if command == "snapshot":
-            return self._fresh_miner_state()
-        state = self._fresh_miner_state()
-        return {"estimator": state["estimator"], "processed": 0,
-                "buffered": 0,
-                "report": {"backend": self._backend_kind,
-                           "statistic": self.statistic, "elements": 0,
-                           "windows": 0, "wall": {}, "modelled": {}}}
-
-    def _maybe_snapshot(self, link: _NetLink) -> None:
-        """Cut an internal restart point; truncate the replay log."""
-        if link.taken_over or link.acks_since_snap < self.snapshot_every:
-            return
-        state = self._request(link, "snapshot")
-        if link.taken_over:
-            return  # the takeover raced the request; keep its ghost
-        link.snap = {"miner": state}
-        link.snap_seq = link.sent
-        link.replay = [entry for entry in link.replay
-                       if entry[0] > link.snap_seq]
-        link.acks_since_snap = 0
-
-    # ------------------------------------------------------------------
-    # ingestion (the ShardedMiner surface)
-    # ------------------------------------------------------------------
-    def ingest(self, chunk: np.ndarray | list[float]) -> None:
-        """Route one chunk across the worker pool (synchronous path)."""
-        parts = self.partitioner.split(chunk)
-        for shard_id, part in enumerate(parts):
-            self.dispatch(shard_id, part)
-        self.metrics.ingested += sum(int(p.size) for p in parts)
-
-    def dispatch(self, shard_id: int, values: np.ndarray) -> None:
-        """Send one pre-routed batch to a shard's worker (pipelined)."""
-        arr = np.ascontiguousarray(
-            np.asarray(values, dtype=np.float32).ravel())
-        if arr.size == 0:
-            return
-        link = self._links[shard_id]
-        if link.taken_over:
-            self._reroute(arr)
-            return
-        if link.failed is not None:
-            raise link.failed
-        self._dispatch_link(link, arr)
-
-    def _dispatch_link(self, link: _NetLink, arr: np.ndarray) -> None:
-        with link.lock:
-            if link.failed is not None:
-                raise link.failed
-            if link.taken_over:
-                self._reroute(arr)
-                return
-            link.wait_anchor = time.monotonic()
-            # Fold in any ready acks (and absorb pending re-dials).
-            try:
-                while self._wait_one_message(link, 0.0):
-                    pass
-            except _WorkerDied as died:
-                if not self._recover(link, died.cause):
-                    self._reroute(arr)
-                    return
-            # Backpressure: bound the unacknowledged window.
-            while len(link.pending) >= self.policies.max_inflight_batches:
-                try:
-                    self._wait_one_message(link, 0.05)
-                except _WorkerDied as died:
-                    if not self._recover(link, died.cause):
-                        self._reroute(arr)
-                        return
-            seq = self._fresh_seq(link)
-            link.replay.append((seq, "batch", arr))
-            link.sent = seq
-            try:
-                self._transmit(link, seq, "batch", arr,
-                               trace=collector().enabled)
-            except _WorkerDied as died:
-                # The batch is already in the replay log: a recovery
-                # re-sends it, a takeover re-routes it — either way it
-                # is owned downstream, so don't re-route it here too.
-                self._recover(link, died.cause)
-                return
-            self._maybe_snapshot(link)
-
-    def drain(self) -> None:
-        """Flush every worker's partial batch and wait for the acks.
-
-        Flushes go to *all* live shards first, then are awaited — the
-        shards drain concurrently.  If a settle triggers a takeover,
-        the re-routed elements landed on survivors *after* their flush,
-        so the round is repeated until a full round completes with no
-        new takeover.
-        """
-        while True:
-            taken_before = sum(
-                1 for link in self._links if link.taken_over)
-            for link in self._links:
-                if link.taken_over:
-                    continue
-                with link.lock:
-                    if link.failed is not None:
-                        raise link.failed
-                    link.wait_anchor = time.monotonic()
-                    seq = self._fresh_seq(link)
-                    link.replay.append((seq, "flush", None))
-                    link.sent = seq
-                    try:
-                        self._transmit(link, seq, "flush", None,
-                                       trace=collector().enabled)
-                    except _WorkerDied as died:
-                        self._recover(link, died.cause)
-            for link in self._links:
-                if link.taken_over:
-                    continue
-                with link.lock:
-                    if link.failed is not None:
-                        raise link.failed
-                    link.wait_anchor = time.monotonic()
-                    self._settle(link)
-                    self._maybe_snapshot(link)
-            if sum(1 for link in self._links
-                   if link.taken_over) == taken_before:
-                return
-
-    # ------------------------------------------------------------------
-    # checkpoint/restore (same "sharded-miner" v1 format)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_snapshot(cls, state: dict, backend: str | None = None,
-                      **kwargs) -> "NetShardedMiner":
-        """Rebuild a worker pool from a ``sharded-miner`` v1 snapshot."""
-        if state.get("kind") != "sharded-miner" or state.get("version") != 1:
-            raise ServiceError(
-                f"not a v1 sharded-miner state: {state.get('kind')!r} "
-                f"v{state.get('version')!r}")
-        window_size = state.get("window_size")
-        shards = state["shards"]
-        if "partitioner" not in kwargs:
-            kwargs["partitioner"] = partitioner_from_state(
-                state["partitioner"])
-        pool = cls(state["statistic"], eps=float(state["eps"]),
-                   num_shards=int(state["num_shards"]),
-                   backend=backend if backend is not None
-                   else state["backend"],
-                   window_size=(int(window_size) if window_size is not None
-                                else None),
-                   stream_length_hint=int(state["stream_length_hint"]),
-                   kind=state.get("estimator_kind"),
-                   shard_states=[{"miner": s["miner"]} for s in shards],
-                   retired=state.get("retired"),
-                   **kwargs)
-        pool.partitioner.restore_state(state["partitioner"])
-        pool.metrics.ingested = int(state["ingested"])
-        for shard, shard_state in zip(pool.metrics.shards, shards):
-            shard.elements = int(shard_state.get("elements", 0))
-            shard.batches = int(shard_state.get("batches", 0))
-        return pool
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop the workers and close every socket.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._finalizer.detach()
-        for link in self._links:
-            with link.lock:
-                if (link.chan is not None and link.failed is None
-                        and not link.taken_over):
-                    rid = link.next_req = link.next_req + 1
-                    try:
-                        link.chan.send(("stop", rid), timeout=1.0)
-                    except (ChannelClosed, ChannelTimeout):
-                        pass
-                if link.proc is not None:
-                    link.proc.join(timeout=timeout)
-                    if link.proc.is_alive():
-                        link.proc.terminate()
-                        link.proc.join(timeout=timeout)
-                if link.chan is not None:
-                    link.chan.close()
-                link.proc = link.chan = None
-        self._listener.close()
-
-    def _reshard_kwargs(self) -> dict:
-        """Constructor extras :meth:`reshard` carries onto the new pool."""
-        return {"fault_plan": self.fault_plan, "retry": self.retry,
-                "breaker_failure_threshold": self._breaker_config[0],
-                "breaker_cooldown_batches": self._breaker_config[1],
-                "policies": self.policies,
-                "net_fault_plan": self.net_fault_plan,
-                "host": self._host,
-                "snapshot_every": self.snapshot_every,
-                "max_restarts": self.max_restarts}
-
-    def _rebind_finalizer(self) -> None:
-        self._finalizer = weakref.finalize(
-            self, _release_net_links, self._links, self._listener)

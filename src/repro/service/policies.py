@@ -1,19 +1,18 @@
 """One tunable home for every executor's resilience policy.
 
 Retry backoff, circuit-breaker thresholds, snapshot cadence, restart
-budgets, and the network executor's deadline/heartbeat/reconnect knobs
-used to live as scattered constants across
-:mod:`repro.service.resilience` and :mod:`repro.service.mp_executor`.
-:class:`ServicePolicies` consolidates them into a single frozen
-dataclass that the in-process, multiprocess, and network pools all
-consume, and that ``repro serve`` exposes as flags — one place to tune,
-one object to thread through.
+budgets, the mp transport cutover and the network executor's
+deadline/heartbeat/reconnect knobs all live in
+:class:`ServicePolicies`: a single frozen dataclass that the
+in-process, multiprocess, and network pools all consume through their
+``policies=`` argument — the only way to set each — and that
+``repro serve`` exposes as flags.
 
 The dataclass is deliberately *policy only*: it carries numbers, not
 behaviour.  Mechanisms stay where they were (:class:`RetryPolicy` and
 :class:`CircuitBreaker` in :mod:`~repro.service.resilience`, the
-ack/replay protocol in the executors); the policies object just decides
-how hard each mechanism tries before giving up.
+ack/replay protocol in :mod:`~repro.service.worker_pool`); the policies
+object just decides how hard each mechanism tries before giving up.
 """
 
 from __future__ import annotations

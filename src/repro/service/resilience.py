@@ -158,10 +158,10 @@ class ShardGuard:
     This is the per-shard dispatch policy extracted into a reusable
     object so *every* executor applies it identically: the in-process
     :class:`~repro.service.sharded.ShardedMiner` holds one guard per
-    shard, and each multiprocess worker
-    (:mod:`repro.service.mp_executor`) holds one around its private
-    miner — degradation semantics do not depend on where the shard
-    lives.
+    shard, and each mp/net worker
+    (:class:`~repro.service.worker_pool.ShardWorker`) holds one around
+    its private miner — degradation semantics do not depend on where
+    the shard lives.
 
     ``step`` callables passed to :meth:`run` must be transactional
     (:meth:`StreamMiner.pump` / :meth:`StreamMiner.flush` are): a

@@ -13,8 +13,8 @@ Framing format
 --------------
 The block is a bare ``capacity * 4`` byte arena interpreted as float32
 slots — there are no in-band headers.  All framing travels out-of-band
-in the pipe message: ``("shm", offset, length)`` means *length* floats
-starting at slot *offset*.  Allocation is FIFO-circular:
+in the pipe message: a batch body ``(offset, length)`` means *length*
+floats starting at slot *offset*.  Allocation is FIFO-circular:
 
 * segments are carved off at ``head`` and appended to a live queue;
 * the worker acknowledges batches **in send order**, and each ack frees

@@ -109,8 +109,19 @@ class GpuSorter:
             self.device.spec, INSTRUCTIONS_PER_PIXEL)
 
     def _quantize(self, arr: np.ndarray) -> np.ndarray:
+        """The float16 round-trip under ``precision=16``.
+
+        Runs after the finite check, so an infinite float16 value means
+        the input lay beyond float16's range (``|x| >= 65520``): that is
+        refused with :class:`SortError` rather than sorted as ``±inf``.
+        """
         if self.precision == 16:
-            return arr.astype(np.float16).astype(np.float32)
+            with np.errstate(over="ignore"):
+                half = arr.astype(np.float16)
+            if not np.all(np.isfinite(half)):
+                raise SortError("precision=16 sorts values within float16's "
+                                "range (|x| < 65520)")
+            return half.astype(np.float32)
         return arr
 
     @property
@@ -123,7 +134,8 @@ class GpuSorter:
 
         Only finite float32-representable inputs are supported (the
         padding sentinel is ``+inf``; the paper's streams are 32-bit
-        reals).  Raises :class:`SortError` otherwise.
+        reals), and under ``precision=16`` only values within float16's
+        range.  Raises :class:`SortError` otherwise.
         """
         arr = np.asarray(values, dtype=np.float32).ravel()
         self.last_n = int(arr.size)

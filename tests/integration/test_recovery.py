@@ -12,13 +12,14 @@ import pytest
 
 from repro.errors import ShardFailedError
 from repro.gpu.faults import FaultPlan
-from repro.service import (CheckpointStore, RetryPolicy, ShardedMiner,
-                           StreamService)
+from repro.service import (CheckpointStore, RetryPolicy, ServicePolicies,
+                           ShardedMiner, StreamService)
 from repro.streams import uniform_stream, zipf_stream
 
 from ..conftest import rank_error
 
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=1e-5, max_delay=1e-4)
+FAST_RETRY = ServicePolicies(retry=RetryPolicy(
+    max_attempts=3, base_delay=1e-5, max_delay=1e-4))
 
 
 def _quantile_ok(estimate, seen, phi, eps):
@@ -40,7 +41,7 @@ class TestFaultyGpuEndToEnd:
                 "quantile", eps=eps, num_shards=2, backend="gpu",
                 window_size=512, stream_length_hint=n,
                 fault_plan=FaultPlan.transfers(0.05, seed=17),
-                retry=FAST_RETRY)
+                policies=FAST_RETRY)
             async with StreamService(miner) as service:
                 for start in range(0, n, 3000):
                     await service.ingest(data[start:start + 3000])
@@ -72,7 +73,7 @@ class TestFaultyGpuEndToEnd:
         def run(fault_plan):
             pool = ShardedMiner("quantile", eps=0.02, num_shards=2,
                                 backend="gpu", window_size=512,
-                                fault_plan=fault_plan, retry=FAST_RETRY)
+                                fault_plan=fault_plan, policies=FAST_RETRY)
             pool.ingest(data)
             pool.drain()
             return pool

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShardFailedError
-from repro.service import MpShardedMiner, ShardedMiner
+from repro.service import MpShardedMiner, ServicePolicies, ShardedMiner
 from repro.streams import uniform_stream
 
 pytestmark = pytest.mark.slow
@@ -40,7 +40,8 @@ def _chunks():
 class TestCrashReplay:
     def test_sigkill_mid_stream_is_invisible_to_queries(self):
         baseline = ShardedMiner("quantile", **_kwargs())
-        miner = MpShardedMiner("quantile", **_kwargs(snapshot_every=4))
+        miner = MpShardedMiner("quantile", **_kwargs(
+            policies=ServicePolicies(snapshot_every=4)))
         try:
             chunks = _chunks()
             for index, chunk in enumerate(chunks):
@@ -68,8 +69,8 @@ class TestCrashReplay:
 
     def test_repeated_kills_within_budget(self):
         baseline = ShardedMiner("quantile", **_kwargs())
-        miner = MpShardedMiner("quantile",
-                               **_kwargs(snapshot_every=4, max_restarts=2))
+        miner = MpShardedMiner("quantile", **_kwargs(
+            policies=ServicePolicies(snapshot_every=4, max_restarts=2)))
         try:
             chunks = _chunks()
             kill_at = {len(chunks) // 3, 2 * len(chunks) // 3}
@@ -87,7 +88,8 @@ class TestCrashReplay:
             miner.close()
 
     def test_restart_budget_exhaustion_fails_shard_loudly(self):
-        miner = MpShardedMiner("quantile", **_kwargs(max_restarts=0))
+        miner = MpShardedMiner("quantile", **_kwargs(
+            policies=ServicePolicies(max_restarts=0)))
         try:
             chunks = _chunks()
             with pytest.raises(ShardFailedError):
@@ -104,8 +106,17 @@ class TestCrashReplay:
             # a failed shard stays failed: dispatching to it re-raises
             with pytest.raises(ShardFailedError):
                 miner.dispatch(0, np.ones(8, dtype=np.float32))
-            # the surviving shard still answers
+            # The surviving shard stays healthy, but the pool is
+            # fail-stop: answering from the survivor alone would drop
+            # the failed shard's elements from an eps*N bound that
+            # counts them, so queries and snapshots raise instead.
             assert miner.metrics.shards[1].healthy
+            with pytest.raises(ShardFailedError):
+                miner.quantile(0.5)
+            with pytest.raises(ShardFailedError):
+                miner.processed
+            with pytest.raises(ShardFailedError):
+                miner.snapshot()
         finally:
             miner.close()
 

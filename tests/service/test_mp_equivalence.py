@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 import repro.service as service_pkg
+from repro.obs import collecting
 from repro.service import (MpShardedMiner, NetShardedMiner, ShardedMiner,
                           StreamService, registered_executors)
 from repro.streams import uniform_stream, zipf_stream
@@ -256,6 +257,28 @@ class TestSnapshotInterchange:
             assert restored.processed == miner.processed
         finally:
             restored.close()
+
+
+@pytest.mark.slow
+class TestWorkerPoolSpans:
+    def test_traced_query_fetches_each_shard_and_merges_once(self):
+        miner = MpShardedMiner("quantile", **_miner_kwargs("quantile"))
+        try:
+            data = _stream("quantile")
+            for start in range(0, data.size, CHUNK):
+                miner.ingest(data[start:start + CHUNK])
+            miner.drain()
+            with collecting() as col:
+                miner.quantile(0.5)
+            spans = col.snapshot()
+        finally:
+            miner.close()
+        fetches = sorted((s.attrs["shard"], s.attrs["command"])
+                         for s in spans if s.name == "service.state_fetch")
+        assert fetches == [(shard, "state") for shard in range(SHARDS)]
+        merges = [s.attrs for s in spans
+                  if s.name == "service.merge_on_query"]
+        assert merges == [{"op": "summary", "shards": SHARDS}]
 
 
 class TestNoBuiltinHash:

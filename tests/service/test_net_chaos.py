@@ -192,5 +192,13 @@ class TestTakeover:
                     pool.ingest(data[start:start + CHUNK])
                 pool.drain()
             assert pool.metrics.failed_shards == [1]
+            # Fail-stop, as under mp: queries and snapshots raise rather
+            # than answer from the survivor alone.
+            with pytest.raises(ShardFailedError):
+                pool.quantile(0.5)
+            with pytest.raises(ShardFailedError):
+                pool.processed
+            with pytest.raises(ShardFailedError):
+                pool.snapshot()
         finally:
             pool.close()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import BusError, ServiceError, ShardFailedError
 from repro.gpu.faults import FaultPlan
-from repro.service import ShardedMiner
+from repro.service import DEFAULT_POLICIES, ServicePolicies, ShardedMiner
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 
@@ -95,11 +95,14 @@ class TestCircuitBreaker:
             CircuitBreaker(cooldown_batches=0)
 
 
-def _pool(fault_plan, **kwargs):
+def _pool(fault_plan, breaker=DEFAULT_POLICIES.breaker, **kwargs):
     defaults = dict(statistic="quantile", eps=0.05, num_shards=1,
                     backend="gpu", window_size=256,
-                    retry=RetryPolicy(max_attempts=3, base_delay=1e-5,
-                                      max_delay=1e-4))
+                    policies=ServicePolicies(
+                        retry=RetryPolicy(max_attempts=3, base_delay=1e-5,
+                                          max_delay=1e-4),
+                        breaker_failure_threshold=breaker[0],
+                        breaker_cooldown_batches=breaker[1]))
     defaults.update(kwargs)
     return ShardedMiner(fault_plan=fault_plan, **defaults)
 
@@ -131,8 +134,7 @@ class TestDispatchRetry:
 
     def test_breaker_opens_and_shard_runs_degraded(self, rng):
         pool = _pool(FaultPlan(upload_rate=0.99, seed=5),
-                     breaker_failure_threshold=2,
-                     breaker_cooldown_batches=1000)
+                     breaker=(2, 1000))
         for _ in range(8):
             pool.ingest(rng.random(1024).astype(np.float32))
         pool.drain()
@@ -151,8 +153,7 @@ class TestDispatchRetry:
         # A max_faults burst: after it clears, the cooldown's fallback
         # batches half-open the breaker and the probe closes it.
         pool = _pool(FaultPlan(upload_rate=0.99, seed=5, max_faults=6),
-                     breaker_failure_threshold=1,
-                     breaker_cooldown_batches=2)
+                     breaker=(1, 2))
         for _ in range(30):
             pool.ingest(rng.random(1024).astype(np.float32))
         pool.drain()
@@ -198,8 +199,8 @@ class TestDispatchRetry:
         # keeps raising transient errors the dispatch must escalate.
         pool = ShardedMiner("quantile", eps=0.05, num_shards=1,
                             backend="cpu", window_size=256,
-                            retry=RetryPolicy(max_attempts=2,
-                                              base_delay=1e-5))
+                            policies=ServicePolicies(retry=RetryPolicy(
+                                max_attempts=2, base_delay=1e-5)))
 
         class AlwaysFaulting:
             name = "flaky"

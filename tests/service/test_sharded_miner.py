@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import QueryError, ServiceError
+from repro.obs import collecting
 from repro.service import ShardedMiner
 from repro.streams import uniform_stream, zipf_stream
 
@@ -156,3 +157,21 @@ class TestMetrics:
         assert len(reports) == 4
         assert all(r.wall["sort"] >= 0 for r in reports)
         assert all(r.elements == 7500 for r in reports)
+
+
+class TestMergeSpans:
+    def test_one_merge_span_per_merge_built(self):
+        miner = ShardedMiner("quantile", eps=0.05, num_shards=2,
+                             window_size=512)
+        miner.ingest(uniform_stream(20_000, seed=2))
+        miner.drain()
+        with collecting() as col:
+            first = miner.quantile(0.5)
+        merges = [s for s in col.snapshot()
+                  if s.name == "service.merge_on_query"]
+        assert [s.attrs for s in merges] == [{"op": "summary", "shards": 2}]
+        # A repeat is served from the state-version memo: no new merge.
+        with collecting() as col:
+            assert miner.quantile(0.5) == first
+        assert not [s for s in col.snapshot()
+                    if s.name == "service.merge_on_query"]

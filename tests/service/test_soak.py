@@ -25,7 +25,8 @@ import time
 
 import pytest
 
-from repro.service import MpShardedMiner, ShardedMiner, StreamService
+from repro.service import (MpShardedMiner, ServicePolicies, ShardedMiner,
+                           StreamService)
 from repro.streams import uniform_stream
 
 pytestmark = pytest.mark.slow
@@ -60,7 +61,7 @@ class TestSoakMp:
     def test_sustained_ingest(self):
         miner = MpShardedMiner("quantile", eps=0.05, num_shards=SHARDS,
                                backend="cpu", window_size=1024,
-                               snapshot_every=16)
+                               policies=ServicePolicies(snapshot_every=16))
         try:
             chunks = _chunk_stream()
             rss_before = _rss_bytes()
@@ -76,7 +77,8 @@ class TestSoakMp:
                     # ring, which backpressures when full); without the
                     # periodic truncation it would grow with the stream.
                     assert (len(link.replay)
-                            <= miner.snapshot_every + len(link.pending) + 8)
+                            <= miner.policies.snapshot_every
+                            + len(link.pending) + 8)
                     assert link.ring.live_segments <= len(link.pending)
             miner.drain()
             rss_after = _rss_bytes()

@@ -107,3 +107,13 @@ class TestSixteenBitMode:
     def test_invalid_precision(self):
         with pytest.raises(SortError):
             GpuSorter(precision=24)
+
+    def test_rejects_values_beyond_float16_range(self):
+        # Finite inputs at or beyond 65520 would come back as +-inf.
+        sorter = GpuSorter(precision=16)
+        with pytest.raises(SortError):
+            sorter.sort(np.array([1e6, 2.0, -1e6], dtype=np.float32))
+        with pytest.raises(SortError):
+            sorter.sort_batch([np.array([7e4, 1.0], dtype=np.float32)])
+        edge = np.array([65519.0, -65519.0], dtype=np.float32)
+        assert sorter.sort(edge).tolist() == [-65504.0, 65504.0]

@@ -32,16 +32,29 @@ from repro.errors import SortError
 class Contract:
     """What a backend accepts and how its output maps to ``np.sort``."""
 
-    def __init__(self, finite_only: bool = False, quantize=None):
+    def __init__(self, finite_only: bool = False, quantize=None,
+                 in_range=None):
         self.finite_only = finite_only
         #: maps the input to what the backend is specified to sort
         #: (gpu-16 sorts the float16 round-trip of its input).
         self.quantize = quantize or (lambda arr: arr)
+        #: which finite inputs the backend sorts; it must raise
+        #: SortError on the rest (gpu-16 sorts in-range input only).
+        self.in_range = in_range or (lambda arr: True)
+
+
+#: float16's largest finite value; finite float32 inputs at or beyond
+#: 65520 would round to +-inf in the cast.
+F16_MAX = float(np.finfo(np.float16).max)
 
 
 def _f16_roundtrip(arr: np.ndarray) -> np.ndarray:
+    return arr.astype(np.float16).astype(np.float32)
+
+
+def _f16_in_range(arr: np.ndarray) -> bool:
     with np.errstate(over="ignore"):
-        return arr.astype(np.float16).astype(np.float32)
+        return bool(np.all(np.isfinite(arr.astype(np.float16))))
 
 
 CONTRACTS: dict[str, Contract] = {
@@ -50,7 +63,8 @@ CONTRACTS: dict[str, Contract] = {
     "gpu": Contract(finite_only=True),
     "gpu-pbsn": Contract(finite_only=True),
     "gpu-bitonic": Contract(finite_only=True),
-    "gpu-16": Contract(finite_only=True, quantize=_f16_roundtrip),
+    "gpu-16": Contract(finite_only=True, quantize=_f16_roundtrip,
+                       in_range=_f16_in_range),
 }
 
 ALL_BACKENDS = tuple(registered_backends())
@@ -99,8 +113,36 @@ any32 = st.floats(allow_nan=True, allow_infinity=True, width=32)
 @given(values=st.lists(finite32, min_size=0, max_size=200))
 def test_finite_windows_match_np_sort(backend, values):
     data = np.array(values, dtype=np.float32)
+    contract = CONTRACTS[backend]
+    if not contract.in_range(data):
+        with pytest.raises(SortError):
+            backend_sort(backend, data)
+        return
     out = backend_sort(backend, data)
-    assert_matches_np_sort(out, CONTRACTS[backend].quantize(data))
+    assert_matches_np_sort(out, contract.quantize(data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.floats(min_value=-F16_MAX, max_value=F16_MAX,
+                                 width=32), min_size=0, max_size=200))
+def test_gpu16_sorts_in_range_windows(values):
+    """The in-range half of gpu-16's contract: it sorts the float16
+    round-trip of any input within float16's range."""
+    data = np.array(values, dtype=np.float32)
+    assert_matches_np_sort(backend_sort("gpu-16", data),
+                           _f16_roundtrip(data))
+
+
+@pytest.mark.parametrize("bad", [65520.0, -65520.0, 1e6,
+                                 float(np.finfo(np.float32).max)])
+def test_gpu16_refuses_values_beyond_float16_range(bad):
+    """The other half: a finite value the float16 cast would turn
+    into +-inf raises SortError instead of sorting as an infinity."""
+    data = np.array([1.0, bad, -2.0], dtype=np.float32)
+    with pytest.raises(SortError):
+        backend_sort("gpu-16", data)
+    with pytest.raises(SortError):
+        resolve_sorter("gpu-16").sort_batch([np.ones(3, np.float32), data])
 
 
 @pytest.mark.parametrize("backend", CPU_BACKENDS)

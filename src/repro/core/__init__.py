@@ -17,7 +17,7 @@ from .histograms import (EquiDepthHistogram, HistogramBucket,
                          VOptimalHistogram, WindowHistogram,
                          histogram_from_sorted)
 from .quantiles import (DDSketch, GKSummary, KLLSketch, QuantileSummary,
-                        RankedValue, SensorNode, TDigest, aggregate)
+                        SensorNode, TDigest, aggregate)
 from .sliding import (DgimCounter, DgimSum, SlidingWindowFrequencies,
                       SlidingWindowQuantiles, StreamingQuantiles)
 
@@ -38,7 +38,6 @@ __all__ = [
     "LossyCounting",
     "MisraGries",
     "QuantileSummary",
-    "RankedValue",
     "SensorNode",
     "SlidingWindowFrequencies",
     "SlidingWindowQuantiles",

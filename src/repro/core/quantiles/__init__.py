@@ -10,14 +10,13 @@ from .gk import GKSummary
 from .kll import KLLSketch
 from .sensor import SensorNode, aggregate
 from .tdigest import TDigest
-from .window import QuantileSummary, RankedValue
+from .window import QuantileSummary
 
 __all__ = [
     "DDSketch",
     "GKSummary",
     "KLLSketch",
     "QuantileSummary",
-    "RankedValue",
     "SensorNode",
     "TDigest",
     "aggregate",

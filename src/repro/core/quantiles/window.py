@@ -6,10 +6,11 @@ eps-approximate summary is extracted by **sampling** the sorted sequence,
 and summaries are combined with a lossless **merge** followed by a lossy
 **prune** that caps the memory footprint.
 
-A summary here is a list of :class:`RankedValue` entries ``(value, rmin,
-rmax)`` over a population of ``count`` elements, with the guarantee that
-for every target rank ``r`` some entry satisfies both ``r - rmin <= error
-* count`` and ``rmax - r <= error * count``.
+A summary here is three parallel arrays (no per-entry objects) over a
+population of ``count`` elements: ``values`` (float64, ascending) and the
+rank bounds ``rmins`` and ``rmaxs`` (int64), with the guarantee that for
+every target rank ``r`` some entry ``i`` satisfies both
+``r - rmins[i] <= error * count`` and ``rmaxs[i] - r <= error * count``.
 
 The three operations and their error arithmetic (all from GK04):
 
@@ -19,64 +20,61 @@ sample    from a sorted window: error ``e`` using ``floor(2 e n)``-
 merge     ``error = max(error_a, error_b)`` (lossless)
 prune     to ``B + 1`` entries: ``error += 1 / (2 B)``
 ========  ==========================================================
+
+Both rank-bound arrays are nondecreasing (sampling gives exact ranks,
+prune keeps a subsequence, merge keeps each input's order and puts equal
+values of the first input before the second's, whose bounds are no
+smaller); the constructor checks it, and it lets one ``searchsorted``
+answer every rank lookup (:meth:`QuantileSummary._lookup`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ...errors import InvariantViolation, QueryError, SummaryError
 
 
-@dataclass(frozen=True)
-class RankedValue:
-    """One summary entry: a value and bounds on its rank in the population."""
-
-    value: float
-    rmin: int
-    rmax: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.rmin <= self.rmax:
-            raise SummaryError(
-                f"invalid rank bounds rmin={self.rmin}, rmax={self.rmax}")
+def _frozen(array, dtype) -> np.ndarray:
+    """A read-only 1-d view, so summaries can share arrays safely."""
+    view = np.asarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
 
 
 class QuantileSummary:
     """An epsilon-approximate quantile summary with explicit rank bounds.
 
-    Instances are immutable in spirit: :meth:`merge` and :meth:`prune`
-    return new summaries.  Build one with :meth:`from_sorted`.
+    Instances are immutable: the three arrays are read-only, and
+    :meth:`merge` and :meth:`prune` return new summaries.  Build one
+    with :meth:`from_sorted`.
     """
 
-    def __init__(self, entries: list[RankedValue], count: int, error: float):
+    def __init__(self, values, rmins, rmaxs, count: int, error: float):
+        self.values = _frozen(values, np.float64)
+        self.rmins = _frozen(rmins, np.int64)
+        self.rmaxs = _frozen(rmaxs, np.int64)
+        if not (self.values.ndim == 1 and self.values.shape
+                == self.rmins.shape == self.rmaxs.shape):
+            raise SummaryError("values, rmins, rmaxs: 1-d, one length")
         if count < 0:
             raise SummaryError(f"count must be non-negative, got {count}")
         if error < 0:
             raise SummaryError(f"error must be non-negative, got {error}")
-        if count > 0 and not entries:
+        if count > 0 and not self.values.size:
             raise SummaryError("a non-empty population needs entries")
-        self.entries = entries
+        bad = (self.rmins < 1) | (self.rmins > self.rmaxs)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SummaryError(f"invalid rank bounds rmin={self.rmins[i]}, "
+                               f"rmax={self.rmaxs[i]}")
+        if (np.any(self.rmins[1:] < self.rmins[:-1])
+                or np.any(self.rmaxs[1:] < self.rmaxs[:-1])):
+            raise SummaryError("rank bounds must be nondecreasing")
         self.count = int(count)
         self.error = float(error)
-        self._array_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, rmins, rmaxs) as numpy arrays, computed lazily.
-
-        Summaries are immutable after construction, so the cache never
-        invalidates.  The vectorised merge/lookup paths run off these.
-        """
-        if self._array_cache is None:
-            self._array_cache = (
-                np.array([e.value for e in self.entries], dtype=np.float64),
-                np.array([e.rmin for e in self.entries], dtype=np.int64),
-                np.array([e.rmax for e in self.entries], dtype=np.int64),
-            )
-        return self._array_cache
 
     # ------------------------------------------------------------------
     # construction
@@ -84,7 +82,7 @@ class QuantileSummary:
     @classmethod
     def empty(cls) -> "QuantileSummary":
         """A summary of zero elements."""
-        return cls([], 0, 0.0)
+        return cls([], [], [], 0, 0.0)
 
     @classmethod
     def from_sorted(cls, sorted_values: np.ndarray,
@@ -110,11 +108,10 @@ class QuantileSummary:
         if error < 0:
             raise SummaryError(f"error must be non-negative, got {error}")
         step = max(1, math.floor(2.0 * error * n))
-        ranks = list(range(1, n + 1, step))
+        ranks = np.arange(1, n + 1, step, dtype=np.int64)
         if ranks[-1] != n:
-            ranks.append(n)
-        entries = [RankedValue(float(arr[r - 1]), r, r) for r in ranks]
-        return cls(entries, n, error)
+            ranks = np.append(ranks, n)
+        return cls(arr[ranks - 1], ranks, ranks, n, error)
 
     # ------------------------------------------------------------------
     # serialization (checkpoint/restore)
@@ -132,9 +129,9 @@ class QuantileSummary:
             "kind": "quantile-summary",
             "count": self.count,
             "error": self.error,
-            "values": [e.value for e in self.entries],
-            "rmins": [e.rmin for e in self.entries],
-            "rmaxs": [e.rmax for e in self.entries],
+            "values": self.values.tolist(),
+            "rmins": self.rmins.tolist(),
+            "rmaxs": self.rmaxs.tolist(),
         }
 
     @classmethod
@@ -145,10 +142,8 @@ class QuantileSummary:
             raise SummaryError(
                 f"not a v1 quantile-summary state: {state.get('kind')!r} "
                 f"v{state.get('version')!r}")
-        entries = [RankedValue(float(v), int(lo), int(hi))
-                   for v, lo, hi in zip(state["values"], state["rmins"],
-                                        state["rmaxs"])]
-        return cls(entries, int(state["count"]), float(state["error"]))
+        return cls(state["values"], state["rmins"], state["rmaxs"],
+                   int(state["count"]), float(state["error"]))
 
     # ------------------------------------------------------------------
     # combination
@@ -177,27 +172,22 @@ class QuantileSummary:
         pieces_v, pieces_lo, pieces_hi = [], [], []
         for source, against, side in ((self, other, "left"),
                                       (other, self, "right")):
-            sv, s_rmin, s_rmax = source._arrays()
-            av, a_rmin, a_rmax = against._arrays()
-            idx = np.searchsorted(av, sv, side=side)
-            rmin = s_rmin.copy()
-            has_pred = idx > 0
-            rmin[has_pred] += a_rmin[idx[has_pred] - 1]
-            rmax = s_rmax.copy()
-            has_succ = idx < av.size
-            rmax[has_succ] += a_rmax[idx[has_succ]] - 1
-            rmax[~has_succ] += a_rmax[-1]
-            pieces_v.append(sv)
+            idx = np.searchsorted(against.values, source.values, side=side)
+            # At ``idx``: the predecessor's rmin (0 if none) and the
+            # successor's rmax - 1 (the last rmax if none).
+            pred_rmin = np.concatenate(([0], against.rmins))
+            succ_rmax = np.append(against.rmaxs - 1, against.rmaxs[-1])
+            rmin = source.rmins + pred_rmin[idx]
+            rmax = source.rmaxs + succ_rmax[idx]
+            pieces_v.append(source.values)
             pieces_lo.append(rmin)
             pieces_hi.append(np.maximum(rmin, rmax))
         all_v = np.concatenate(pieces_v)
         all_lo = np.concatenate(pieces_lo)
         all_hi = np.concatenate(pieces_hi)
         order = np.lexsort((all_lo, all_v))
-        merged = [RankedValue(float(v), int(lo), int(hi))
-                  for v, lo, hi in zip(all_v[order], all_lo[order],
-                                       all_hi[order])]
-        return QuantileSummary(merged, self.count + other.count,
+        return QuantileSummary(all_v[order], all_lo[order], all_hi[order],
+                               self.count + other.count,
                                max(self.error, other.error))
 
     @staticmethod
@@ -222,35 +212,43 @@ class QuantileSummary:
     def prune(self, budget: int) -> "QuantileSummary":
         """Keep ``budget + 1`` entries; error grows by ``1 / (2 * budget)``.
 
-        Queries the summary at the ranks ``i * n / budget`` for
+        Queries the summary at the ranks ``ceil(i * n / budget)`` for
         ``i = 0..budget`` and keeps the answering entries with their
         original rank bounds (GK04's prune).
         """
         if budget < 1:
             raise SummaryError(f"prune budget must be >= 1, got {budget}")
-        if len(self.entries) <= budget + 1:
-            return QuantileSummary(list(self.entries), self.count,
-                                   self.error + 1.0 / (2.0 * budget))
-        kept: list[RankedValue] = []
-        for i in range(budget + 1):
-            rank = max(1, min(self.count,
-                              math.ceil(i * self.count / budget)))
-            entry = self._lookup(rank)
-            if not kept or entry is not kept[-1]:
-                kept.append(entry)
-        return QuantileSummary(kept, self.count,
-                               self.error + 1.0 / (2.0 * budget))
+        error = self.error + 1.0 / (2.0 * budget)
+        if len(self) <= budget + 1:
+            return QuantileSummary(self.values, self.rmins, self.rmaxs,
+                                   self.count, error)
+        if budget * self.count >= 2 ** 53:   # i * n must be exact doubles
+            raise SummaryError(f"prune budget {budget} x count "
+                               f"{self.count} reaches 2**53")
+        ranks = np.clip(np.ceil(np.arange(budget + 1) * self.count / budget),
+                        1, self.count).astype(np.int64)
+        kept = self._lookup(ranks)
+        kept = kept[np.r_[True, kept[1:] != kept[:-1]]]
+        return QuantileSummary(self.values[kept], self.rmins[kept],
+                               self.rmaxs[kept], self.count, error)
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def _lookup(self, rank: int) -> RankedValue:
-        """Entry minimising ``max(rank - rmin, rmax - rank)``."""
-        if not self.entries:
-            raise QueryError("lookup on an empty summary")
-        _, rmins, rmaxs = self._arrays()
-        scores = np.maximum(rank - rmins, rmaxs - rank)
-        return self.entries[int(np.argmin(scores))]
+    def _lookup(self, ranks):
+        """Index of the first entry minimising ``max(r - rmin, rmax - r)``:
+        the score falls as ``r - rmin`` while ``rmin + rmax <= 2 r`` and
+        rises as ``rmax - r`` after, so the minimum is the first index
+        ``k`` past that point or, winning ties, the start of the
+        equal-``rmin`` run of its left neighbour (``np.argmin``'s pick).
+        """
+        k = np.searchsorted(self.rmins + self.rmaxs, 2 * ranks, side="right")
+        left = np.maximum(k - 1, 0)
+        right = np.minimum(k, len(self) - 1)
+        take_left = (k > 0) & ((k == len(self)) | (
+            ranks - self.rmins[left] <= self.rmaxs[right] - ranks))
+        run_start = np.searchsorted(self.rmins, self.rmins[left], side="left")
+        return np.where(take_left, run_start, right)
 
     def query_rank(self, rank: int) -> float:
         """Value whose true rank is within ``error * count`` of ``rank``."""
@@ -258,7 +256,13 @@ class QuantileSummary:
             raise QueryError("query on an empty summary")
         if not 1 <= rank <= self.count:
             raise QueryError(f"rank must be in [1, {self.count}], got {rank}")
-        return self._lookup(rank).value
+        # :meth:`_lookup`'s rule for one rank, on Python scalars: a
+        # one-rank query would spend most of its time in NumPy calls.
+        k = int((self.rmins + self.rmaxs).searchsorted(2 * rank, "right"))
+        if k == len(self) or (
+                k and rank - self.rmins[k - 1] <= self.rmaxs[k] - rank):
+            k = int(self.rmins.searchsorted(self.rmins[k - 1]))
+        return float(self.values[k])
 
     def quantile(self, phi: float) -> float:
         """The phi-quantile within ``error * count`` rank error."""
@@ -269,19 +273,15 @@ class QuantileSummary:
         return self.query_rank(max(1, math.ceil(phi * self.count)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self.values.size)
 
     def check_invariant(self) -> None:
         """Validate ordering and rank-bound sanity; raise on violation."""
-        previous_value = -math.inf
-        for entry in self.entries:
-            if entry.value < previous_value:
-                raise InvariantViolation("summary entries out of value order")
-            previous_value = entry.value
-            if entry.rmax > self.count:
-                raise InvariantViolation(
-                    f"rmax {entry.rmax} exceeds population {self.count}")
-        if self.entries:
-            if self.entries[0].rmin > max(1, math.ceil(
-                    2 * self.error * self.count)):
-                raise InvariantViolation("first entry's rmin too large")
+        if np.any(self.values[1:] < self.values[:-1]):
+            raise InvariantViolation("summary entries out of value order")
+        if len(self) and self.rmaxs[-1] > self.count:
+            raise InvariantViolation(
+                f"rmax {self.rmaxs[-1]} exceeds population {self.count}")
+        if len(self) and self.rmins[0] > max(1, math.ceil(
+                2 * self.error * self.count)):
+            raise InvariantViolation("first entry's rmin too large")

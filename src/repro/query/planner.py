@@ -4,13 +4,15 @@ The planner answers one question per registered spec: *which physical
 sketch should serve it, and what does that sketch cost per element?*
 Candidates come from the :mod:`repro.core.estimators` capability
 registry — a kind is eligible when it advertises the spec's metric,
-drives the spec's statistic, and is an actual pipeline driver rather
-than a building block (``driver is not None``).  Cost comes from the
-same closed-form timing model the figure harnesses use
-(:func:`repro.bench.models.streaming_modelled_time`), evaluated at the
-spec's eps class with the per-kind merge/compress coefficients each
-capability record declares — so a new estimator family competes on
-modelled numbers the moment it registers, without the planner changing.
+drives the spec's statistic, states its bound in the currency the
+spec's eps is measured in (:data:`METRIC_BOUND_TYPES`), and is an
+actual pipeline driver rather than a building block (``driver is not
+None``).  Cost comes from the same closed-form timing model the figure
+harnesses use (:func:`repro.bench.models.streaming_modelled_time`),
+evaluated at the spec's eps class with the per-kind merge/compress
+coefficients each capability record declares — so a new estimator
+family competes on modelled numbers the moment it registers, without
+the planner changing.
 
 Planning is two-stage: :meth:`Planner.plan` picks the kind and the
 canonical :class:`~repro.query.spec.SketchKey`; the cache
@@ -24,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.estimators import (EstimatorCapabilities, estimator_capabilities,
+from ..core.estimators import (EstimatorCapabilities, default_kind_for,
+                               estimator_capabilities,
                                registered_capabilities)
 from ..errors import QueryError
 from .spec import QuerySpec, SketchKey, canonical_key
 
 __all__ = [
+    "METRIC_BOUND_TYPES",
     "Planner",
     "QueryPlan",
     "modelled_cost_per_element",
@@ -40,6 +44,19 @@ __all__ = [
 #: windows); this one matches the figure harnesses' smallest paper-scale
 #: point.
 _NOMINAL_ELEMENTS = 1_000_000
+
+#: The error currency a spec's eps is stated in, per metric, as the
+#: capability ``bound_type``s that honour it: a rank error for
+#: quantiles (DDSketch's *relative value* error is another currency),
+#: an absolute count error from either side for the frequency metrics,
+#: a relative standard error for distinct counts.
+METRIC_BOUND_TYPES = {
+    "quantile": ("rank",),
+    "heavy_hitters": ("count-under", "count-over"),
+    "top_k": ("count-under", "count-over"),
+    "estimate": ("count-under", "count-over"),
+    "distinct": ("relative-std",),
+}
 
 
 def modelled_cost_per_element(kind: str, eps: float,
@@ -115,10 +132,14 @@ class Planner:
         """Registered kinds able to serve ``spec``, sorted by name.
 
         A kind qualifies when it drives the spec's statistic, lists the
-        spec's metric, is a real pipeline driver (``driver`` set — the
-        bare GK summary registers as a checkpoint kind but only ever
-        lives inside the exponential histogram), and merges losslessly
-        when the spec will run on a sharded pool (history mode).
+        spec's metric, states its bound in the metric's currency
+        (:data:`METRIC_BOUND_TYPES`), is a real pipeline driver
+        (``driver`` set — the bare GK summary registers as a checkpoint
+        kind but only ever lives inside the exponential histogram), and
+        merges losslessly when the spec will run on a sharded pool
+        (history mode).  A windowed spec runs on the sliding builder,
+        which constructs the statistic's default family only, so that
+        kind is its one candidate.
         """
         out = []
         for kind, caps in registered_capabilities().items():
@@ -126,9 +147,14 @@ class Planner:
                 continue
             if spec.metric not in caps.metrics:
                 continue
+            if caps.bound_type not in METRIC_BOUND_TYPES[spec.metric]:
+                continue
             if caps.driver is None:
                 continue
             if spec.window is None and not caps.mergeable:
+                continue
+            if (spec.window is not None
+                    and kind != default_kind_for(spec.statistic)):
                 continue
             out.append(kind)
         return out

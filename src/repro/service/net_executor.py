@@ -247,8 +247,12 @@ class NetShardedMiner(WorkerPool):
             raise _WorkerDied(RuntimeError(
                 f"shard {link.shard_id} has no connection"))
         try:
-            # A zero deadline would expire before the socket is read even
-            # once; the floor lets an already-arrived frame be drained.
+            # A zero timeout polls: with nothing ready it is a timed-out
+            # receive.  Once a frame has begun to arrive, the 2 ms floor
+            # lets it drain (a zero deadline would expire before the
+            # socket is read even once).
+            if timeout <= 0 and not link.conn.ready():
+                raise ChannelTimeout("nothing ready")
             message = link.conn.recv(timeout=max(timeout, 0.002))
         except ChannelTimeout:
             self._check_alive(link)

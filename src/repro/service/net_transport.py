@@ -300,6 +300,14 @@ class FrameChannel:
             payload = self._read_frame(deadline)
         return pickle.loads(payload)
 
+    def ready(self) -> bool:
+        """Whether :meth:`recv` has something to act on without waiting:
+        a held frame, buffered bytes, or a readable (or closed) socket."""
+        if self._holdin is not None or self._rbuf or self._sock is None:
+            return True
+        readable, _, _ = select.select([self._sock], [], [], 0)
+        return bool(readable)
+
     def close(self) -> None:
         sock, self._sock = self._sock, None
         if sock is not None:

@@ -18,7 +18,9 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.estimators import default_kind_for, estimator_capabilities
 from repro.query import QueryFrontEnd, QuerySpec
+from repro.query.planner import METRIC_BOUND_TYPES
 
 from ..conftest import rank_error
 from .conftest import exact_counts, make_workload, quantize
@@ -155,3 +157,37 @@ class TestAnswersWithinReportedBound:
         expected = [value for value, _ in
                     sorted(truth.items(), key=lambda kv: -kv[1])[:spec.k]]
         assert [value for value, _ in answer.value] == expected
+
+
+class TestAnswerNamesItsEstimator:
+    """An answer's ``kind`` is the estimator that served it, and that
+    kind's bound is in the currency the spec's eps is measured in."""
+
+    def test_kind_and_bound_type_match_the_serving_estimator(self):
+        raw = make_workload("zipf", N).astype(np.float32)
+        quant = quantize(raw)
+        specs = battery("zipf") + [
+            QuerySpec("quantile", key="raw", eps=0.05, phi=0.5,
+                      window=1_024),
+            QuerySpec("heavy_hitters", key="quant", eps=0.05,
+                      support=SUPPORT, window=1_024)]
+
+        async def run():
+            async with QueryFrontEnd(num_shards=2) as frontend:
+                ids = [await frontend.register(spec) for spec in specs]
+                for lo in range(0, N, CHUNK):
+                    await frontend.ingest(raw[lo:lo + CHUNK], "raw")
+                    await frontend.ingest(quant[lo:lo + CHUNK], "quant")
+                answers = await frontend.answer_all(fresh=True)
+                return [(frontend.get(query_id), answers[query_id])
+                        for query_id in ids]
+
+        for query, answer in asyncio.run(run()):
+            miner = query.handle.service.miner
+            served = miner.kind or default_kind_for(miner.statistic)
+            assert answer.kind == served, query.spec
+            assert estimator_capabilities(served).bound_type in \
+                METRIC_BOUND_TYPES[query.spec.metric], query.spec
+            if query.spec.window is None:   # a sharded history pool
+                for shard in miner._shards():
+                    assert shard.estimator.to_state()["kind"] == served

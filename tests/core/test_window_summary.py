@@ -1,10 +1,14 @@
 """GK04 window summaries: sample / merge / prune error arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QuantileSummary
-from repro.core.quantiles import RankedValue, SensorNode, aggregate
+from repro.core.quantiles import SensorNode, aggregate
 from repro.errors import QueryError, SummaryError
 
 from ..conftest import rank_error
@@ -24,15 +28,14 @@ class TestFromSorted:
     def test_exact_ranks(self, rng):
         data = np.sort(rng.random(100))
         s = QuantileSummary.from_sorted(data, 0.1)
-        for entry in s.entries:
-            assert entry.rmin == entry.rmax
-            assert data[entry.rmin - 1] == entry.value
+        assert np.array_equal(s.rmins, s.rmaxs)
+        assert np.array_equal(data[s.rmins - 1], s.values)
 
     def test_includes_extremes(self, rng):
         data = np.sort(rng.random(1000))
         s = QuantileSummary.from_sorted(data, 0.05)
-        assert s.entries[0].value == data[0]
-        assert s.entries[-1].value == data[-1]
+        assert s.values[0] == data[0]
+        assert s.values[-1] == data[-1]
 
     def test_error_guarantee(self, rng):
         data = np.sort(rng.random(2000))
@@ -132,9 +135,105 @@ class TestPrune:
 class TestRankedValue:
     def test_invalid_bounds(self):
         with pytest.raises(SummaryError):
-            RankedValue(1.0, 5, 3)
+            QuantileSummary([1.0], [5], [3], 5, 0.0)
         with pytest.raises(SummaryError):
-            RankedValue(1.0, 0, 3)
+            QuantileSummary([1.0], [0], [3], 5, 0.0)
+
+
+def _state(rmins, rmaxs):
+    return {"version": 1, "kind": "quantile-summary", "count": 9,
+            "error": 0.0, "values": [1.0, 2.0, 3.0][:len(rmins)],
+            "rmins": rmins, "rmaxs": rmaxs}
+
+
+class TestArrayValidation:
+    @pytest.mark.parametrize("rmins,rmaxs", [
+        ([1, 0], [2, 3]),         # rmin < 1
+        ([1, 4], [2, 3]),         # rmin > rmax
+        ([1, 3, 2], [3, 4, 5]),   # rmins decrease
+        ([1, 2, 3], [4, 3, 5]),   # rmaxs decrease
+    ])
+    def test_constructor_and_from_state_reject(self, rmins, rmaxs):
+        values = [1.0, 2.0, 3.0][:len(rmins)]
+        with pytest.raises(SummaryError):
+            QuantileSummary(values, rmins, rmaxs, 9, 0.0)
+        with pytest.raises(SummaryError):
+            QuantileSummary.from_state(_state(rmins, rmaxs))
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(SummaryError):
+            QuantileSummary([1.0, 2.0], [1], [1], 2, 0.0)
+
+    def test_arrays_are_read_only(self, rng):
+        s = QuantileSummary.from_sorted(np.sort(rng.random(50)), 0.1)
+        for array in (s.values, s.rmins, s.rmaxs):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
+def argmin_lookup(summary, rank):
+    """Reference: the first entry minimising max(rank - rmin, rmax - rank)."""
+    scores = np.maximum(rank - summary.rmins, summary.rmaxs - rank)
+    return int(np.argmin(scores))
+
+
+def reference_prune(summary, budget):
+    kept = []
+    for i in range(budget + 1):
+        rank = max(1, min(summary.count,
+                          math.ceil(i * summary.count / budget)))
+        index = argmin_lookup(summary, rank)
+        if not kept or index != kept[-1]:
+            kept.append(index)
+    return kept
+
+
+@st.composite
+def monotone_summaries(draw):
+    """Arbitrary nondecreasing rank bounds, tie-heavy by construction."""
+    size = draw(st.integers(1, 40))
+    steps = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    widths = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    rmins = 1 + np.cumsum(steps) - steps[0]
+    rmaxs = np.maximum.accumulate(rmins + np.array(widths))
+    count = int(rmaxs[-1]) + draw(st.integers(0, 3))
+    return QuantileSummary(np.arange(size, dtype=np.float64), rmins, rmaxs,
+                           count, 0.0)
+
+
+@st.composite
+def merged_summaries(draw):
+    """Real merges of duplicate-heavy windows."""
+    parts = draw(st.lists(st.lists(st.integers(0, 6), min_size=1,
+                                   max_size=60), min_size=2, max_size=4))
+    error = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    return QuantileSummary.merge_all([
+        QuantileSummary.from_sorted(np.sort(np.array(p, dtype=np.float64)),
+                                    error) for p in parts])
+
+
+class TestLookupMatchesArgmin:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(monotone_summaries(), merged_summaries()),
+           st.integers(1, 50))
+    def test_prune_and_query_rank(self, summary, budget):
+        for rank in range(1, summary.count + 1):
+            assert summary.query_rank(rank) == \
+                summary.values[argmin_lookup(summary, rank)]
+        kept = reference_prune(summary, budget)
+        pruned = summary.prune(budget)
+        if len(summary) > budget + 1:
+            assert np.array_equal(pruned.values, summary.values[kept])
+            assert np.array_equal(pruned.rmins, summary.rmins[kept])
+            assert np.array_equal(pruned.rmaxs, summary.rmaxs[kept])
+        else:
+            assert np.array_equal(pruned.rmins, summary.rmins)
+
+    def test_prune_guards_inexact_target_ranks(self):
+        s = QuantileSummary([1.0, 2.0, 3.0], [1, 2, 2 ** 53],
+                            [1, 2, 2 ** 53], 2 ** 53, 0.0)
+        with pytest.raises(SummaryError):
+            s.prune(1)
 
 
 class TestSensorTree:

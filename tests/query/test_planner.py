@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.estimators import (QUERY_METRICS, estimator_capabilities,
+from repro.core.estimators import (QUERY_METRICS, default_kind_for,
+                                   estimator_capabilities,
                                    registered_estimator_kinds)
 from repro.errors import QueryError
 from repro.query import Planner, QuerySpec, canonical_key, eps_class
+from repro.query.planner import METRIC_BOUND_TYPES
 
 
 class TestRegistryCoverage:
@@ -64,6 +66,32 @@ class TestPlanKinds:
                                ("top_k", {"k": 3})]:
             spec = QuerySpec(metric, eps=0.05, **kwargs)
             assert "gk-summary" not in planner.candidates(spec)
+
+    def test_candidates_state_the_metric_bound_currency(self, planner):
+        # DDSketch's bound is a relative *value* error: it cannot honour
+        # a rank-eps quantile spec, however cheap it models.
+        for metric, kwargs in [("quantile", {"phi": 0.5}),
+                               ("heavy_hitters", {"support": 0.1}),
+                               ("top_k", {"k": 3}),
+                               ("estimate", {"value": 1.0}),
+                               ("distinct", {})]:
+            spec = QuerySpec(metric, eps=0.05, **kwargs)
+            kinds = planner.candidates(spec)
+            assert kinds
+            for kind in kinds:
+                assert estimator_capabilities(kind).bound_type in \
+                    METRIC_BOUND_TYPES[metric], (metric, kind)
+        assert "ddsketch" not in planner.candidates(
+            QuerySpec("quantile", phi=0.5, eps=0.05))
+
+    @pytest.mark.parametrize("spec", [
+        QuerySpec("quantile", phi=0.5, eps=0.01, window=1_000),
+        QuerySpec("heavy_hitters", support=0.1, eps=0.05, window=1_000),
+        QuerySpec("estimate", value=1.0, eps=0.05, window=1_000),
+    ])
+    def test_windowed_specs_plan_the_default_kind(self, planner, spec):
+        # The sliding builder constructs the default family only.
+        assert planner.candidates(spec) == [default_kind_for(spec.statistic)]
 
     def test_plan_eps_is_class_of_required_eps(self, planner):
         spec = QuerySpec("top_k", k=50, eps=0.1)   # required 1/(2k)=0.01

@@ -57,6 +57,11 @@ def _kill_worker(pool, shard_id):
     os.kill(pool._links[shard_id].proc.pid, signal.SIGKILL)
 
 
+def _replay_holds_batch(pool, shard_id):
+    return any(kind == "batch"
+               for _, kind, _ in pool._links[shard_id].replay)
+
+
 def _rank_within_eps(data, estimate, phi, eps):
     ordered = np.sort(data)
     target = phi * data.size
@@ -74,12 +79,17 @@ class TestSigkillReplay:
                                backend="cpu", window_size=512,
                                stream_length_hint=N, policies=FAST)
         try:
-            kill_at = {data.size // 4: 1, data.size // 2: 3}
+            # Each victim dies once its replay log holds a batch: a
+            # periodic snapshot covering every batch sent so far would
+            # leave the restart nothing to replay.
+            kills = [(data.size // 4, 1), (data.size // 2, 3)]
             for start in range(0, data.size, CHUNK):
-                if start in kill_at:
-                    _kill_worker(pool, kill_at[start])
+                if kills and start >= kills[0][0] and \
+                        _replay_holds_batch(pool, kills[0][1]):
+                    _kill_worker(pool, kills.pop(0)[1])
                 pool.ingest(data[start:start + CHUNK])
             pool.drain()
+            assert not kills
             metrics = pool.metrics
             assert sum(s.restarts for s in metrics.shards) >= 2
             assert metrics.replayed_batches >= 1

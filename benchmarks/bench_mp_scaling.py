@@ -1,37 +1,34 @@
 """Multiprocess executor — ingest scaling on the Fig. 5 frequency workload.
 
-Not a paper figure — this benchmarks the PR's scaling claim for the
-``mp`` executor: with one worker process per shard, ingest throughput
-on the paper's Figure 5 frequency workload (uniform stream, eps=1e-3)
-scales with the worker count because per-shard lossy-counting compute
-runs on separate cores while the parent only partitions and memcpys
-into the shared-memory rings.
+Not a paper figure — this benchmarks the scaling claim of the ``mp``
+executor: with one worker process per shard, ingest on the paper's
+Figure 5 frequency workload (uniform stream, eps=1e-3) gets faster with
+the worker count, because per-shard lossy-counting compute runs on
+separate cores while the parent only partitions and pickles batches
+onto the workers' pipes.
 
-**Modelled wall clock.**  This box may expose a single CPU to the
-suite, so a *measured* wall-clock ratio cannot show multi-core scaling
-(every process time-slices one core).  The executor's metrics expose
-exactly the two quantities the one-core-per-worker model needs, both
-measured for real:
+**Measured wall clock.**  Every number the claims rest on is the
+wall-clock time of one whole pass of the stream, drain included, into
+the inline single-process pool (the baseline) or the ``mp`` pool at a
+given worker count.  All the pools stay up for ``ROUNDS`` rounds, and
+each round times one pass into every pool back to back; a ratio is the
+median over rounds of that round's ratio, so a slow spell of the host
+weighs on both sides of it.  A box with fewer cores than workers
+time-slices them, so the wall-clock claims cover only worker counts up
+to ``os.cpu_count()``; the table still reports the larger counts.
 
-* ``transport_seconds`` — the parent's serial cost per shard (split +
-  copy into the ring + frame);
-* ``update_seconds`` — each worker's busy compute, measured inside the
-  worker around the guarded pump.
-
-With W dedicated cores the parent and the workers overlap, so the
-modelled wall is ``max(sum(transport), max(worker busy))`` — the same
-critical-path treatment the GPU simulator applies to the paper's
-hardware (measure the parts for real, combine them with the target's
-concurrency).  The baseline is the *measured* wall of the inline
-single-process pool over the identical stream.
-
-Asserted claims: >= 2x modelled speedup at 4 workers, monotone
-improvement with worker count, and bit-identical answers to the
-inline baseline at every worker count.  The timed uniform stream has
-no heavy hitter, so the identity check runs again, untimed, on a Zipf
-stream whose inline answer must be non-empty.
+Asserted claims: at the largest worker count the cores allow (at least
+2), the pool ingests at least ``MIN_SPEEDUP`` times faster than the
+inline pool; each added worker up to that count cuts the wall by at
+least ``MIN_SCALING``; the parent's transport stays below the compute
+it feeds at 4 workers; and the answers are bit-identical to the inline
+baseline at every worker count.  The timed uniform stream has no heavy
+hitter, so the identity check runs again, untimed, on a Zipf stream
+whose inline answer must be non-empty.
 """
 
+import os
+import statistics
 import time
 
 import pytest
@@ -49,6 +46,17 @@ ELEMENTS = scaled(400_000, smoke=48_000)
 EPS = 1e-3
 CHUNK = 8_192
 WORKER_COUNTS = [1, 2, 4]
+#: worker counts with a core each: the wall-clock claims cover these.
+MEASURED_COUNTS = [w for w in WORKER_COUNTS if w <= (os.cpu_count() or 1)]
+#: timed rounds; each times one pass into every pool.
+ROUNDS = 7
+#: median measured speedup over the inline pool at the largest
+#: measured worker count, and wall ratio per added measured worker.
+#: Over 30 runs on a 2-vCPU VM (20 at smoke scale, 10 at full scale)
+#: the 2-worker values read 1.31-1.93x and 1.25-1.95x; each bound sits
+#: ~12% below the lowest reading.
+MIN_SPEEDUP = 1.15
+MIN_SCALING = 1.1
 SUPPORT = 0.01
 # The skewed identity stream: 13 heavy hitters at SUPPORT.
 IDENTITY_ELEMENTS = 48_000
@@ -66,71 +74,94 @@ def _ingest_all(miner, data) -> float:
     return time.perf_counter() - began
 
 
+def _median_ratio(numerators, denominators) -> float:
+    return statistics.median(a / b for a, b in zip(numerators, denominators))
+
+
 class TestMpScaling:
     @pytest.fixture(scope="class")
     def results(self):
         data = _stream()
-        baseline = ShardedMiner("frequency", eps=EPS, num_shards=1,
-                                backend="cpu")
-        baseline_wall = _ingest_all(baseline, data)
-        baseline_answer = baseline.frequent_items(SUPPORT)
+        pools = {"inline": ShardedMiner("frequency", eps=EPS, num_shards=1,
+                                        backend="cpu")}
+        try:
+            for workers in WORKER_COUNTS:
+                pools[workers] = MpShardedMiner(
+                    "frequency", eps=EPS, num_shards=workers, backend="cpu")
+            walls = {key: [] for key in pools}
+            for _ in range(ROUNDS):
+                for key, pool in pools.items():
+                    walls[key].append(_ingest_all(pool, data))
+            answers = {key: pool.frequent_items(SUPPORT)
+                       for key, pool in pools.items()}
+            shards = {w: pools[w].metrics.shards for w in WORKER_COUNTS}
+        finally:
+            for workers in WORKER_COUNTS:
+                if workers in pools:
+                    pools[workers].close()
 
         table = Table(
-            title="mp executor — modelled ingest scaling (Fig. 5 workload)",
-            columns=["workers", "elements", "baseline_s", "transport_s",
-                     "max_worker_busy_s", "modelled_s", "modelled_speedup"],
+            title="mp executor — measured ingest scaling (Fig. 5 workload)",
+            columns=["workers", "elements", "inline_s", "wall_s", "speedup",
+                     "vs_fewer", "transport_s", "max_worker_busy_s"],
             caption=(f"{ELEMENTS:,} uniform elements, frequency eps={EPS}; "
-                     "modelled wall = max(parent transport, slowest "
-                     "worker busy) assuming one core per process; "
-                     "baseline is the measured inline 1-shard wall."),
+                     f"walls are medians of {ROUNDS} interleaved passes, "
+                     "drain included; speedup (inline/pool) and vs_fewer "
+                     "(previous worker count/pool) are median per-round "
+                     "wall ratios; transport and busy seconds sum over "
+                     f"all passes; {os.cpu_count()} cores, so the claims "
+                     f"cover {MEASURED_COUNTS} workers."),
         )
-        rows = {}
+        rows = {"inline_answer": answers["inline"]}
+        previous = None
         for workers in WORKER_COUNTS:
-            miner = MpShardedMiner("frequency", eps=EPS,
-                                   num_shards=workers, backend="cpu")
-            try:
-                _ingest_all(miner, data)
-                answer = miner.frequent_items(SUPPORT)
-                shards = miner.metrics.shards
-                transport = sum(s.transport_seconds for s in shards)
-                busy = max(s.update_seconds for s in shards)
-                total_busy = sum(s.update_seconds for s in shards)
-                modelled = max(transport, busy)
-                speedup = baseline_wall / modelled
-                table.add_row(workers, ELEMENTS, baseline_wall, transport,
-                              busy, modelled, speedup)
-                rows[workers] = dict(answer=answer, modelled=modelled,
-                                     speedup=speedup, transport=transport,
-                                     busy=busy, total_busy=total_busy)
-            finally:
-                miner.close()
+            transport = sum(s.transport_seconds for s in shards[workers])
+            busy = [s.update_seconds for s in shards[workers]]
+            speedup = _median_ratio(walls["inline"], walls[workers])
+            scaling = (_median_ratio(walls[previous], walls[workers])
+                       if previous else None)
+            table.add_row(workers, ELEMENTS,
+                          statistics.median(walls["inline"]),
+                          statistics.median(walls[workers]), speedup,
+                          "-" if scaling is None else scaling,
+                          transport, max(busy))
+            rows[workers] = dict(answer=answers[workers], speedup=speedup,
+                                 scaling=scaling, transport=transport,
+                                 total_busy=sum(busy))
+            previous = workers
         emit(table)
-        rows["baseline_answer"] = baseline_answer
         return rows
 
     def test_answers_identical_to_inline_baseline(self, results):
-        expected = results["baseline_answer"]
+        expected = results["inline_answer"]
         for workers in WORKER_COUNTS:
             assert results[workers]["answer"] == expected, (
                 f"{workers}-worker answers diverged from the inline pool")
 
-    def test_modelled_speedup_at_least_2x_at_4_workers(self, results):
-        assert results[4]["speedup"] >= 2.0, (
-            f"modelled speedup {results[4]['speedup']:.2f}x < 2x — "
-            "transport is eating the parallelism")
+    def test_measured_speedup_at_the_core_count(self, results):
+        workers = MEASURED_COUNTS[-1]
+        if workers < 2:
+            pytest.skip("one core: worker processes cannot run in parallel")
+        speedup = results[workers]["speedup"]
+        assert speedup >= MIN_SPEEDUP, (
+            f"measured speedup {speedup:.2f}x at {workers} workers < "
+            f"{MIN_SPEEDUP}x")
 
-    def test_scaling_is_monotone(self, results):
-        modelled = [results[w]["modelled"] for w in WORKER_COUNTS]
-        assert all(b < a for a, b in zip(modelled, modelled[1:]))
+    def test_measured_wall_falls_with_each_worker(self, results):
+        for workers in MEASURED_COUNTS[1:]:
+            scaling = results[workers]["scaling"]
+            assert scaling >= MIN_SCALING, (
+                f"going to {workers} workers cut the wall only "
+                f"{scaling:.2f}x")
 
     def test_compute_dominates_transport_at_4_workers(self, results):
-        # the shared-memory path keeps the parent's serial share small;
-        # if transport dominated the compute it feeds, adding workers
-        # could never pay off.  Compared against the summed worker busy
-        # time rather than the per-worker max: the claim is the same,
-        # but the margin survives smoke scale, where one shard's busy
-        # slice is a few milliseconds and scheduler jitter can nudge it
-        # under the parent's transport share.
+        # The parent's serial share must stay below the compute it
+        # feeds, or adding workers could never pay off.  Transport also
+        # counts pipe writes blocked on a busy worker.  Compared against
+        # the summed worker busy time rather than the per-worker max:
+        # the claim is the same, but the margin survives smoke scale,
+        # where one shard's busy slice is a few milliseconds and
+        # scheduler jitter can nudge it under the parent's share.
         assert results[4]["transport"] < results[4]["total_busy"]
 
 

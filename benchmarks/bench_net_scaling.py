@@ -17,8 +17,9 @@ Both series are appended to ``BENCH_net.json`` at the repo root via
 :func:`repro.bench.report.write_bench_json`.
 
 No wall-clock speedup is asserted: the suite may run on a single
-exposed core where every process time-slices, and TCP framing adds a
-per-batch cost shared memory does not pay.  The asserted claims are
+exposed core where every process time-slices (``bench_mp_scaling.py``
+asserts the measured speedup of the pipe transport, where the core
+count allows it).  The asserted claims are
 the ones that must hold anywhere: bit-identical answers to the inline
 pool at every worker count, zero lost elements through a SIGKILL, and
 a recovery that actually exercised restart + replay.  The timed

@@ -36,7 +36,7 @@ from .core.distinct import WindowedDistinctCounter
 from .core.estimators import (QUERY_METRICS, estimator_capabilities,
                               registered_capabilities)
 from .core.pipeline.timing import OPERATIONS
-from .errors import QueryError
+from .errors import QueryError, ServiceError
 from .obs import collecting, render_tree, stage_shares
 from .query import (QuerySpec, answer_query, build_miner, list_queries,
                     register_query, unregister_query)
@@ -183,21 +183,29 @@ def _build_policies(args: argparse.Namespace) -> ServicePolicies | None:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve``: drive the sharded asyncio service end to end."""
-    result = run_service_demo(
-        statistic=args.statistic, n=args.n, eps=args.eps,
-        num_shards=args.shards, producers=args.producers,
-        backend=args.backend, window_size=args.window,
-        workload=args.workload, seed=args.seed,
-        executor=args.executor, workers=args.workers, kind=args.kind,
-        chunk_size=args.chunk, shed_capacity=args.shed_capacity,
-        phi=tuple(args.phi), support=args.support,
-        fault_rate=args.fault_rate,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_interval=args.checkpoint_interval,
-        metrics_port=args.metrics_port,
-        policies=_build_policies(args),
-        query_port=args.query_port, linger=args.linger)
+    """``repro serve``: drive the sharded asyncio service end to end.
+
+    Exits 0 when every answer is within its bound, 1 when one is not,
+    and 2 when the service refuses its settings or a shard fails.
+    """
+    try:
+        result = run_service_demo(
+            statistic=args.statistic, n=args.n, eps=args.eps,
+            num_shards=args.shards, producers=args.producers,
+            backend=args.backend, window_size=args.window,
+            workload=args.workload, seed=args.seed,
+            executor=args.executor, workers=args.workers, kind=args.kind,
+            chunk_size=args.chunk, shed_capacity=args.shed_capacity,
+            phi=tuple(args.phi), support=args.support,
+            fault_rate=args.fault_rate,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_interval=args.checkpoint_interval,
+            metrics_port=args.metrics_port,
+            policies=_build_policies(args),
+            query_port=args.query_port, linger=args.linger)
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_result(result))
     return 0 if result.all_within_bounds else 1
 

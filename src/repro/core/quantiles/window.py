@@ -169,7 +169,10 @@ class QuantileSummary:
         # *second* source the roles flip ("right").  Without a consistent
         # tie-break, duplicated values across the inputs widen the rank
         # bounds past the guarantee.
-        pieces_v, pieces_lo, pieces_hi = [], [], []
+        size = len(self) + len(other)
+        values = np.empty(size, dtype=np.float64)
+        rmins = np.empty(size, dtype=np.int64)
+        rmaxs = np.empty(size, dtype=np.int64)
         for source, against, side in ((self, other, "left"),
                                       (other, self, "right")):
             idx = np.searchsorted(against.values, source.values, side=side)
@@ -179,14 +182,13 @@ class QuantileSummary:
             succ_rmax = np.append(against.rmaxs - 1, against.rmaxs[-1])
             rmin = source.rmins + pred_rmin[idx]
             rmax = source.rmaxs + succ_rmax[idx]
-            pieces_v.append(source.values)
-            pieces_lo.append(rmin)
-            pieces_hi.append(np.maximum(rmin, rmax))
-        all_v = np.concatenate(pieces_v)
-        all_lo = np.concatenate(pieces_lo)
-        all_hi = np.concatenate(pieces_hi)
-        order = np.lexsort((all_lo, all_v))
-        return QuantileSummary(all_v[order], all_lo[order], all_hi[order],
+            # ``idx`` entries of the other summary precede this one, so
+            # its merged slot is its own index plus ``idx``.
+            slots = np.arange(len(source)) + idx
+            values[slots] = source.values
+            rmins[slots] = rmin
+            rmaxs[slots] = np.maximum(rmin, rmax)
+        return QuantileSummary(values, rmins, rmaxs,
                                self.count + other.count,
                                max(self.error, other.error))
 

@@ -119,8 +119,10 @@ def service_metrics_samples(metrics) -> list[Sample]:
         ("faults", "counter", "transient GPU faults observed"),
         ("retries", "counter", "backoff retries performed"),
         ("degraded_batches", "counter", "batches on the CPU fallback"),
-        ("shm_batches", "counter", "batches via the shared-memory ring"),
-        ("pickle_batches", "counter", "batches via the pipe fallback"),
+        ("shm_batches", "counter",
+         "always 0: the shared-memory batch ring was removed; mp batches "
+         "count in pickle_batches"),
+        ("pickle_batches", "counter", "batches pickled onto a worker pipe"),
         ("replayed_batches", "counter",
          "batches re-sent to restarted workers"),
         ("transport_seconds", "counter",

@@ -17,10 +17,10 @@ horizontal scaling free.  This package supplies the layer that uses it:
   surface (ingest rate, queue depth, per-shard latencies, shed count,
   fault/retry/degradation counters, shard health);
 * the worker-pool engine (:mod:`~repro.service.worker_pool`) — one
-  worker *process* per shard, the ack/replay protocol, supervised
-  restart and merge-on-query over gathered estimator states, under two
-  transports: :class:`MpShardedMiner` (a pipe plus a shared-memory
-  batch ring, :mod:`~repro.service.shm_ring`; fail-stop) and
+  worker *process* per shard, the ack/replay protocol, one in-flight
+  window of backpressure, supervised restart and merge-on-query over
+  gathered estimator states, under two transports:
+  :class:`MpShardedMiner` (pickled messages over a pipe; fail-stop) and
   :class:`NetShardedMiner` (framed TCP,
   :mod:`~repro.service.net_transport`, with per-connection deadlines,
   heartbeats, worker reconnect and keyspace takeover when a shard dies
@@ -56,7 +56,6 @@ from .sharded import ShardedMiner
 from .sharding import (ConsistentHashPartitioner, HashPartitioner,
                        RoundRobinPartitioner, default_partitioner,
                        partitioner_from_state)
-from .shm_ring import ShmRing
 
 __all__ = [
     "CheckpointStore",
@@ -77,7 +76,6 @@ __all__ = [
     "ShardGuard",
     "ShardMetrics",
     "ShardedMiner",
-    "ShmRing",
     "StreamService",
     "default_partitioner",
     "format_result",

@@ -19,7 +19,7 @@ Built-in executors:
     serialises compute).
 ``mp``
     :class:`StreamService` over :class:`MpShardedMiner`: one worker
-    *process* per shard with shared-memory batch transport — compute
+    *process* per shard, batches pickled over a pipe — compute
     genuinely parallel across cores.
 ``net``
     :class:`StreamService` over :class:`NetShardedMiner`: the same
@@ -61,16 +61,26 @@ class InlineService:
     driver and the equivalence tests can swap executors without
     branching; each ``await`` completes immediately.
 
-    Accepts (and ignores) the queueing/shedding knobs of the real
-    service: a synchronous pool has no queue to bound and applies
-    backpressure trivially by blocking the caller.  A configured
-    ``checkpoint_store`` is honoured — :meth:`checkpoint` on demand and
-    one final snapshot on a draining :meth:`stop`.
+    Accepts (and ignores) ``queue_chunks``: a synchronous pool has no
+    queue to bound and applies backpressure by blocking the caller.  It
+    refuses ``shed_capacity`` and ``checkpoint_interval`` with a
+    :class:`ServiceError` rather than drop them; the async, mp and net
+    executors honour both.  A configured ``checkpoint_store`` is
+    honoured — :meth:`checkpoint` on demand and one final snapshot on a
+    draining :meth:`stop`.
     """
 
     def __init__(self, miner: ShardedMiner, *,
                  checkpoint_store: CheckpointStore | None = None,
-                 **_queue_knobs):
+                 queue_chunks: int | None = None,
+                 shed_capacity: int | None = None,
+                 checkpoint_interval: float | None = None):
+        for name, value in (("shed_capacity", shed_capacity),
+                            ("checkpoint_interval", checkpoint_interval)):
+            if value is not None:
+                raise ServiceError(
+                    f"the inline executor does not support {name}; the "
+                    "async, mp and net executors do")
         self.miner = miner
         self.checkpoint_store = checkpoint_store
         self._started = False
@@ -149,12 +159,7 @@ class InlineService:
 
 
 def _build_inline(miner_kwargs: dict, service_kwargs: dict) -> InlineService:
-    kwargs = dict(service_kwargs)
-    kwargs.pop("queue_chunks", None)
-    kwargs.pop("shed_capacity", None)
-    kwargs.pop("checkpoint_interval", None)
-    kwargs.pop("max_restarts", None)
-    return InlineService(ShardedMiner(**miner_kwargs), **kwargs)
+    return InlineService(ShardedMiner(**miner_kwargs), **service_kwargs)
 
 
 def _build_async(miner_kwargs: dict, service_kwargs: dict) -> StreamService:

@@ -45,15 +45,17 @@ class ShardMetrics:
     #: circuit-breaker state at the last dispatch ("closed" means the
     #: primary backend is trusted).
     breaker_state: str = "closed"
-    #: batches shipped to a worker process via the shared-memory ring.
+    #: always 0: the mp executor's shared-memory batch ring was measured
+    #: and removed (DESIGN.md §12); the field stays for readers of the
+    #: series, such as perfbench's ladder.
     shm_batches: int = 0
-    #: batches that took the pickle-over-pipe fallback (small or
-    #: ring-overflowing batches; mp executor only).
+    #: batches pickled onto a worker's pipe (mp executor only).
     pickle_batches: int = 0
     #: batches re-sent to a restarted worker from the replay log.
     replayed_batches: int = 0
     #: parent-side wall seconds spent framing/sending batches to the
-    #: worker process (mp executor only).
+    #: worker process, writes blocked on a busy worker included (mp and
+    #: net executors).
     transport_seconds: float = 0.0
     #: batches shipped over a TCP channel (net executor only).
     net_batches: int = 0

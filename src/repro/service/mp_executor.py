@@ -9,15 +9,11 @@ its own worker process, and queries gather the per-shard estimator
 states and merge them in the parent — the same merge-on-query algebra,
 so every combined error bound carries over unchanged.
 
-The pool surface, the ack/replay protocol, supervision and the worker
-loop are the shared worker-pool engine
+The pool surface, the ack/replay protocol, the in-flight window,
+supervision and the worker loop are the shared worker-pool engine
 (:class:`~repro.service.worker_pool.WorkerPool`, DESIGN.md §12).  This
-module keeps only the transport: a duplex pipe per worker plus a
-shared-memory ring (:mod:`repro.service.shm_ring`) — a batch rides the
-ring as an ``(offset, length)`` body on the pipe, a batch at or below
-``policies.small_batch_elements`` (or larger than the ring) is pickled
-onto the pipe — and the ring-full backpressure: with every slot live,
-a dispatch blocks on acks until one frees.  A shard whose restart
+module keeps only the transport: a duplex pipe per worker, onto which
+every message, batches included, is pickled.  A shard whose restart
 budget runs out fails for good (fail-stop); queries and snapshots then
 raise :class:`~repro.errors.ShardFailedError`.
 """
@@ -29,32 +25,17 @@ import time
 import numpy as np
 
 from ..errors import ServiceError
-from .shm_ring import ShmRing
 from .worker_pool import ShardLink, ShardWorker, WorkerPool, _WorkerDied
 
 __all__ = ["MpShardedMiner"]
 
-#: Per-shard shared-memory arena, in float32 elements.
-RING_CAPACITY = 1 << 20
 
-
-def _worker_main(shard_id: int, conn, ring_name: str, config: dict) -> None:
+def _worker_main(shard_id: int, conn, config: dict) -> None:
     """One shard's process: build the miner, serve the pipe in order."""
-    ring = None
-
-    def decode(body) -> np.ndarray:
-        if isinstance(body, tuple):
-            # Copy out of the ring before touching the engine: the
-            # windower *keeps* references, and the parent recycles the
-            # slots as soon as this batch is acknowledged.
-            return np.array(ring.view(*body))
-        return np.asarray(body, dtype=np.float32).ravel()
-
     try:
-        ring = ShmRing.attach(ring_name, RING_CAPACITY)
         worker = ShardWorker(shard_id, config)
         conn.send(("ready", int(worker.miner.window_size)))
-        worker.serve(conn.recv, conn.send, decode)
+        worker.serve(conn.recv, conn.send)
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         return
     except Exception as exc:  # pragma: no cover - supervised restart path
@@ -64,8 +45,6 @@ def _worker_main(shard_id: int, conn, ring_name: str, config: dict) -> None:
             pass
         raise
     finally:
-        if ring is not None:
-            ring.close()
         try:
             conn.close()
         except OSError:  # pragma: no cover
@@ -75,24 +54,14 @@ def _worker_main(shard_id: int, conn, ring_name: str, config: dict) -> None:
 class MpShardedMiner(WorkerPool):
     """Process-pool drop-in for :class:`ShardedMiner`.
 
-    Parameters are :class:`~repro.service.worker_pool.WorkerPool`'s
-    (``policies.small_batch_elements`` sets the pipe/ring cutover).
+    Parameters are :class:`~repro.service.worker_pool.WorkerPool`'s.
     """
 
-    def _open_transport(self) -> None:
-        for link in self._links:
-            link.ring = ShmRing(RING_CAPACITY)
-
-    def _resources(self) -> list:
-        return [link.ring for link in self._links]
-
     def _spawn(self, link: ShardLink) -> None:
-        link.ring.reset()  # a fresh worker starts on an empty ring
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(link.shard_id, child_conn, link.ring.name,
-                  self._worker_config(link)),
+            args=(link.shard_id, child_conn, self._worker_config(link)),
             name=f"repro-shard-{link.shard_id}", daemon=True)
         proc.start()
         child_conn.close()
@@ -141,25 +110,5 @@ class MpShardedMiner(WorkerPool):
         return None
 
     def _frame(self, link: ShardLink, arr: np.ndarray):
-        shard = self.metrics.shards[link.shard_id]
-        segment = None
-        if self.policies.small_batch_elements < arr.size \
-                <= link.ring.capacity:
-            segment = link.ring.try_write(arr)
-            while segment is None and link.ring.live_segments:
-                # Ring full: block on acks until slots free (this is the
-                # executor's backpressure — the queue above it is bounded
-                # and the replay log tracks the same entries).
-                if link.failed is not None:
-                    raise link.failed
-                self._wait_one_message(link, self._POLL)
-                segment = link.ring.try_write(arr)
-        if segment is not None:
-            shard.shm_batches += 1
-            return segment, segment
-        # Tiny batch, or one larger than the whole ring: pickle it.
-        shard.pickle_batches += 1
-        return arr, None
-
-    def _release(self, link: ShardLink, segment: tuple[int, int]) -> None:
-        link.ring.free(*segment)
+        self.metrics.shards[link.shard_id].pickle_batches += 1
+        return arr

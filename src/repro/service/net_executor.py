@@ -53,10 +53,6 @@ from .worker_pool import ShardLink, ShardWorker, WorkerPool, _WorkerDied
 __all__ = ["NetShardedMiner"]
 
 
-def _decode(body) -> np.ndarray:
-    return np.asarray(body, dtype=np.float32).ravel()
-
-
 def _net_worker_main(shard_id: int, host: str, port: int, token: str,
                      config: dict) -> None:
     """One shard's process: dial the pool, serve commands, survive
@@ -93,7 +89,7 @@ def _net_worker_main(shard_id: int, host: str, port: int, token: str,
             try:
                 send(("hello", shard_id, token, worker.applied,
                       int(worker.miner.window_size)))
-                worker.serve(recv, send, _decode)
+                worker.serve(recv, send)
                 return  # clean stop
             except (ChannelClosed, ChannelTimeout):
                 chan.close()
@@ -126,9 +122,8 @@ class NetShardedMiner(WorkerPool):
     net-only settings: ``heartbeat_interval``, ``liveness_timeout``,
     ``io_deadline``, ``connect_timeout``, ``reconnect`` (worker re-dial
     backoff), ``reconnect_deadline`` (how long the parent waits for a
-    re-dial before a supervised restart), ``max_inflight_batches``
-    (backpressure window) and ``takeover`` (degrade to survivors
-    instead of failing).
+    re-dial before a supervised restart) and ``takeover`` (degrade to
+    survivors instead of failing).
     """
 
     _POLL = 0.05
@@ -271,12 +266,7 @@ class NetShardedMiner(WorkerPool):
 
     def _frame(self, link: ShardLink, arr: np.ndarray):
         self.metrics.shards[link.shard_id].net_batches += 1
-        return arr, None
-
-    def _admit(self, link: ShardLink) -> None:
-        # Backpressure: bound the unacknowledged window.
-        while len(link.pending) >= self.policies.max_inflight_batches:
-            self._wait_one_message(link, self._POLL)
+        return arr
 
     def _request_deadline(self) -> float:
         # The worker heartbeats, so liveness alone would never notice a

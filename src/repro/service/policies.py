@@ -1,7 +1,7 @@
 """One tunable home for every executor's resilience policy.
 
 Retry backoff, circuit-breaker thresholds, snapshot cadence, restart
-budgets, the mp transport cutover and the network executor's
+budgets, the worker pools' in-flight window and the network executor's
 deadline/heartbeat/reconnect knobs all live in
 :class:`ServicePolicies`: a single frozen dataclass that the
 in-process, multiprocess, and network pools all consume through their
@@ -23,10 +23,6 @@ from ..errors import ServiceError
 from .resilience import RetryPolicy
 
 __all__ = ["DEFAULT_POLICIES", "ServicePolicies"]
-
-#: batches at or below this many elements skip the shared-memory ring
-#: and ride the pipe directly (mp executor's transport cutover).
-SMALL_BATCH_ELEMENTS = 256
 
 #: acks between internal worker snapshots (bounds the replay log).
 SNAPSHOT_EVERY = 64
@@ -62,9 +58,11 @@ class ServicePolicies:
     snapshot_every:
         Acks between internal worker snapshots; bounds both the replay
         log and the data at risk on a worker death.
-    small_batch_elements:
-        mp transport cutover: batches at or below this size ride the
-        pipe instead of the shared-memory ring.
+    max_inflight_batches:
+        Worker-pool backpressure (mp and net): unacknowledged batches
+        allowed on one link before dispatch blocks on acks.  It also
+        caps the acks a worker can queue behind a parent blocked on a
+        full pipe or socket.
     ready_timeout:
         Seconds a spawned worker gets to report ready/hello.
 
@@ -90,9 +88,6 @@ class ServicePolicies:
     reconnect_deadline:
         Parent-side window to wait for a live worker to redial before
         escalating to a supervised restart.
-    max_inflight_batches:
-        Parent-side backpressure: unacknowledged batches allowed on one
-        link before dispatch blocks on acks.
     takeover:
         When a shard exhausts its restart budget, reassign its keyspace
         to the surviving shards from its last snapshot + replay log
@@ -105,7 +100,7 @@ class ServicePolicies:
     breaker_cooldown_batches: int = 16
     max_restarts: int = 2
     snapshot_every: int = SNAPSHOT_EVERY
-    small_batch_elements: int = SMALL_BATCH_ELEMENTS
+    max_inflight_batches: int = 64
     ready_timeout: float = READY_TIMEOUT
     heartbeat_interval: float = 0.5
     liveness_timeout: float = 15.0
@@ -113,7 +108,6 @@ class ServicePolicies:
     connect_timeout: float = 10.0
     reconnect: RetryPolicy = field(default_factory=_default_reconnect)
     reconnect_deadline: float = 5.0
-    max_inflight_batches: int = 64
     takeover: bool = True
 
     def __post_init__(self) -> None:
@@ -131,10 +125,6 @@ class ServicePolicies:
         if self.snapshot_every < 1:
             raise ServiceError(
                 f"snapshot_every must be >= 1, got {self.snapshot_every}")
-        if self.small_batch_elements < 0:
-            raise ServiceError(
-                "small_batch_elements must be >= 0, got "
-                f"{self.small_batch_elements}")
         if self.max_inflight_batches < 1:
             raise ServiceError(
                 "max_inflight_batches must be >= 1, got "

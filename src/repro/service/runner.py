@@ -374,8 +374,8 @@ def run_service_demo(statistic: str = "quantile", n: int = 100_000,
     finally:
         if server is not None:
             server.stop()
-        # The mp pool owns worker processes and shared memory; the
-        # in-process pools have no-op-free close paths.
+        # The worker pools own worker processes and their pipes or
+        # sockets; the in-process pools have no-op-free close paths.
         closer = getattr(miner, "close", None)
         if closer is not None:
             closer()

@@ -28,13 +28,18 @@ in its own worker process and speak one protocol to it (DESIGN.md
   step under the same :class:`~repro.service.resilience.ShardGuard`
   policy as the in-process pool, and one state/snapshot/stop loop.
 
-A transport subclass frames the messages: ``_open_transport``,
-``_resources``, ``_spawn``, ``_await_ready``, ``_send``, ``_receive``,
-``_frame`` and ``_release``, plus the optional ``_admit``,
-``_await_redial`` and ``_take_over`` steps.
-:class:`~repro.service.mp_executor.MpShardedMiner` frames over a pipe
-and a shared-memory ring; :class:`~repro.service.net_executor.\
-NetShardedMiner` over TCP.
+Backpressure is one window for both transports: a dispatch blocks on
+acks while ``policies.max_inflight_batches`` batches are unacknowledged
+on its link.  That also caps the acks a worker can queue behind a
+parent blocked writing to it, so a full pipe or socket cannot deadlock
+the two writers.
+
+A transport subclass moves the messages: ``_spawn``, ``_await_ready``,
+``_send``, ``_receive`` and ``_frame``, plus the optional
+``_open_transport``, ``_resources``, ``_await_redial`` and
+``_take_over`` steps.  :class:`~repro.service.mp_executor.MpShardedMiner`
+pickles every message onto a pipe;
+:class:`~repro.service.net_executor.NetShardedMiner` frames it over TCP.
 
 Determinism: per-shard element sequences come from the same
 partitioner code, workers process commands strictly in order, and
@@ -51,7 +56,6 @@ import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from threading import RLock
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,14 +75,6 @@ class _WorkerDied(Exception):
         self.cause = cause
 
 
-class _Pending(NamedTuple):
-    """One unacknowledged batch/flush."""
-
-    elements: int
-    #: transport slot the ack releases (the mp ring's (offset, length)).
-    segment: tuple[int, int] | None = None
-
-
 @dataclass
 class ShardLink:
     """Parent-side bookkeeping for one worker."""
@@ -88,8 +84,6 @@ class ShardLink:
     proc: multiprocessing.Process | None = None
     #: the transport endpoint (a pipe connection or a TCP frame channel).
     conn: object | None = None
-    #: the mp executor's shared-memory ring (``None`` over TCP).
-    ring: object | None = None
     window_size: int = 0
     next_seq: int = 0
     next_req: int = 0
@@ -102,7 +96,8 @@ class ShardLink:
     #: sequences above the watermark until the gap closes).
     counted: int = 0
     counted_extra: set = field(default_factory=set)
-    #: seq -> :class:`_Pending`, unacknowledged work (loss accounting).
+    #: seq -> element count of unacknowledged work (the backpressure
+    #: window and the loss accounting).
     pending: dict = field(default_factory=dict)
     #: (seq, kind, float32 array | None) entries since the last snapshot.
     replay: list = field(default_factory=list)
@@ -184,11 +179,11 @@ class ShardWorker:
         self.stash: dict[int, tuple] = {}
         self._reported = {"faults": 0, "retries": 0, "degraded_batches": 0}
 
-    def serve(self, recv, send, decode) -> None:
+    def serve(self, recv, send) -> None:
         """Answer one connection's commands until the pool says stop.
 
-        ``recv()`` / ``send(message)`` move one message; ``decode`` turns
-        a batch body into its float32 elements.
+        ``recv()`` / ``send(message)`` move one message; a batch's body
+        is the float32 array the parent sent.
         """
         while True:
             message = recv()
@@ -199,15 +194,14 @@ class ShardWorker:
                     # Replayed work whose ack was lost with an old
                     # connection: re-ack synthetically so the parent's
                     # watermark catches up.
-                    elements = (decode(message[3]).size if kind == "batch"
-                                else 0)
+                    elements = message[3].size if kind == "batch" else 0
                     send(("ack", seq, kind == "batch", elements, 0.0,
                           self._counter_delta(), []))
                     continue
                 self.stash[seq] = message
                 while self.applied + 1 in self.stash:
                     self.applied += 1
-                    send(self._step(self.stash.pop(self.applied), decode))
+                    send(self._step(self.stash.pop(self.applied)))
             elif kind == "state":
                 send(("result", message[1], {
                     "estimator": self.miner.estimator.to_state(),
@@ -222,10 +216,10 @@ class ShardWorker:
             else:  # pragma: no cover - protocol error
                 raise ServiceError(f"unknown command {kind!r}")
 
-    def _step(self, message, decode) -> tuple:
+    def _step(self, message) -> tuple:
         """Apply one in-order batch/flush; returns its (negative) ack."""
         kind, seq, trace = message[0], message[1], message[2]
-        arr = decode(message[3]) if kind == "batch" else None
+        arr = message[3] if kind == "batch" else None
         elements = int(arr.size) if arr is not None else 0
         # CPU time, not wall: the worker loop is single-threaded, so the
         # process_time delta is exactly the compute this step consumed.
@@ -357,6 +351,13 @@ class WorkerPool(ShardPool):
         return {"spec": self._miner_spec, "fault_plan": self.fault_plan,
                 "policies": self.policies, "snapshot": link.snap,
                 "applied": link.snap_seq}
+
+    def _open_transport(self) -> None:
+        """Transport step: set up what every link shares, before spawning."""
+
+    def _resources(self) -> list:
+        """Transport step: what :meth:`close` closes after the workers."""
+        return []
 
     # ------------------------------------------------------------------
     # the shards a query reads
@@ -510,8 +511,7 @@ class WorkerPool(ShardPool):
             if self._take_over(link, exc):
                 return False
             shard.healthy = False
-            shard.lost_elements += sum(
-                entry.elements for entry in link.pending.values())
+            shard.lost_elements += sum(link.pending.values())
             link.failed = exc
             raise
 
@@ -531,13 +531,12 @@ class WorkerPool(ShardPool):
                   arr, trace: bool) -> None:
         """Frame and send one stream entry, tracking it as pending."""
         if kind == "flush":
-            link.pending[seq] = _Pending(0)
+            link.pending[seq] = 0
             self._send(link, ("flush", seq, trace))
             return
         began = time.perf_counter()
-        body, segment = self._frame(link, arr)
-        link.pending[seq] = _Pending(int(arr.size), segment)
-        self._send(link, ("batch", seq, trace, body))
+        link.pending[seq] = int(arr.size)
+        self._send(link, ("batch", seq, trace, self._frame(link, arr)))
         self.metrics.shards[link.shard_id].transport_seconds += (
             time.perf_counter() - began)
 
@@ -568,9 +567,7 @@ class WorkerPool(ShardPool):
         return True
 
     def _settled(self, link: ShardLink, seq: int) -> None:
-        entry = link.pending.pop(seq, None)
-        if entry is not None and entry.segment is not None:
-            self._release(link, entry.segment)
+        link.pending.pop(seq, None)
         link.acked = max(link.acked, seq)
 
     def _apply_ack(self, link: ShardLink, message) -> None:
@@ -700,7 +697,9 @@ class WorkerPool(ShardPool):
             try:
                 while self._wait_one_message(link, 0.0):
                     pass  # fold in any ready acks
-                self._admit(link)
+                # Backpressure: a full in-flight window waits on acks.
+                self._pump_until(link, lambda: len(link.pending)
+                                 < self.policies.max_inflight_batches)
             except _WorkerDied as died:
                 if not self._recover(link, died.cause):
                     self._reroute(arr)
@@ -718,9 +717,6 @@ class WorkerPool(ShardPool):
                 self._recover(link, died.cause)
                 return
             self._maybe_snapshot(link)
-
-    def _admit(self, link: ShardLink) -> None:
-        """Transport step: backpressure before a batch is sent."""
 
     def drain(self) -> None:
         """Flush every worker's partial batch and wait for the acks.
@@ -769,8 +765,7 @@ class WorkerPool(ShardPool):
 
         Idempotent; also runs via a GC finalizer as a safety net, but
         call it explicitly (or use the context manager) — worker
-        processes, sockets and shared-memory blocks are real OS
-        resources.
+        processes, pipes and sockets are real OS resources.
         """
         if self._closed:
             return

@@ -236,6 +236,48 @@ class TestLookupMatchesArgmin:
             s.prune(1)
 
 
+def lexsort_merge(a, b):
+    """Reference merge: concatenate both inputs' entries with their
+    merged bounds, then ``lexsort`` by (value, rmin)."""
+    pieces = []
+    for source, against, side in ((a, b, "left"), (b, a, "right")):
+        idx = np.searchsorted(against.values, source.values, side=side)
+        pred_rmin = np.concatenate(([0], against.rmins))
+        succ_rmax = np.append(against.rmaxs - 1, against.rmaxs[-1])
+        rmin = source.rmins + pred_rmin[idx]
+        rmax = source.rmaxs + succ_rmax[idx]
+        pieces.append((source.values, rmin, np.maximum(rmin, rmax)))
+    values, rmins, rmaxs = (np.concatenate(p) for p in zip(*pieces))
+    order = np.lexsort((rmins, values))
+    return values[order], rmins[order], rmaxs[order]
+
+
+@st.composite
+def merge_operands(draw):
+    """Sampled, merged or pruned summaries of duplicate-heavy windows."""
+    values = draw(st.lists(st.integers(0, 6), min_size=1, max_size=60))
+    error = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    sampled = QuantileSummary.from_sorted(
+        np.sort(np.array(values, dtype=np.float64)), error)
+    summary = draw(st.sampled_from([sampled]) | merged_summaries())
+    if draw(st.booleans()):
+        summary = summary.prune(draw(st.integers(1, 20)))
+    return summary
+
+
+class TestMergeMatchesLexsort:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_operands(), merge_operands())
+    def test_placed_entries_equal_the_sorted_concatenation(self, a, b):
+        merged = a.merge(b)
+        values, rmins, rmaxs = lexsort_merge(a, b)
+        assert np.array_equal(merged.values, values)
+        assert np.array_equal(merged.rmins, rmins)
+        assert np.array_equal(merged.rmaxs, rmaxs)
+        assert merged.count == a.count + b.count
+        assert merged.error == max(a.error, b.error)
+
+
 class TestSensorTree:
     def test_flat_tree(self, rng):
         leaves = [SensorNode(rng.random(200)) for _ in range(5)]

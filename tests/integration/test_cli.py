@@ -65,6 +65,16 @@ class TestCommands:
         assert "ingest rate" in out
         assert "shard 1:" in out
 
+    def test_serve_refuses_a_setting_the_executor_drops(self, capsys):
+        # the inline executor has no shedder; accepting --shed-capacity
+        # would report the whole stream accepted, nothing shed
+        assert main(["serve", "--executor", "inline", "--statistic",
+                     "frequency", "--n", "20000", "--eps", "0.01",
+                     "--shed-capacity", "50"]) == 2
+        captured = capsys.readouterr()
+        assert "shed_capacity" in captured.err
+        assert "accepted" not in captured.out
+
     def test_serve_frequency(self, capsys):
         assert main(["serve", "--n", "20000", "--statistic", "frequency",
                      "--workload", "zipf", "--shards", "2",

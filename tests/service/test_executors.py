@@ -84,6 +84,27 @@ class TestInlineService:
         service = self._service(queue_chunks=4, shed_capacity=None)
         assert isinstance(service, InlineService)
 
+    def test_shed_capacity_refused(self):
+        # a synchronous pool has no shedder: taking the setting would
+        # report every element accepted
+        with pytest.raises(ServiceError, match="shed_capacity.*async"):
+            self._service(shed_capacity=50)
+
+    def test_checkpoint_interval_refused(self):
+        with pytest.raises(ServiceError,
+                           match="checkpoint_interval.*async"):
+            self._service(checkpoint_interval=0.5)
+
+    def test_factory_refuses_what_the_service_would_drop(self):
+        with pytest.raises(ServiceError, match="shed_capacity"):
+            resolve_executor("inline")(
+                dict(statistic="frequency", eps=0.01, num_shards=2,
+                     backend="cpu"), dict(shed_capacity=50))
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            self._service(queue_chunk=4)
+
     def test_stop_writes_final_checkpoint(self, tmp_path):
         async def drive():
             miner = ShardedMiner("quantile", eps=0.05, num_shards=2,

@@ -32,8 +32,8 @@ import pytest
 
 import repro.service as service_pkg
 from repro.obs import collecting
-from repro.service import (MpShardedMiner, NetShardedMiner, ShardedMiner,
-                          StreamService, registered_executors)
+from repro.service import (MpShardedMiner, NetShardedMiner, ServicePolicies,
+                           ShardedMiner, StreamService, registered_executors)
 from repro.streams import uniform_stream, zipf_stream
 
 N = 60_000
@@ -279,6 +279,59 @@ class TestWorkerPoolSpans:
         merges = [s.attrs for s in spans
                   if s.name == "service.merge_on_query"]
         assert merges == [{"op": "summary", "shards": SHARDS}]
+
+
+@pytest.mark.slow
+class TestPipeTransport:
+    """Every mp batch is pickled onto its worker's pipe, behind one
+    in-flight window."""
+
+    def test_window_caps_pending_and_answers_match_inline(self):
+        kwargs = dict(num_shards=2, backend="cpu", eps=1e-3)
+        data = zipf_stream(N, seed=13)
+        inline = ShardedMiner("frequency", **kwargs)
+        miner = MpShardedMiner(
+            "frequency", policies=ServicePolicies(max_inflight_batches=2),
+            **kwargs)
+        try:
+            peak = 0
+            for start in range(0, data.size, 500):
+                chunk = data[start:start + 500]
+                inline.ingest(chunk)
+                miner.ingest(chunk)
+                for link in miner._links:
+                    assert len(link.pending) <= 2
+                    peak = max(peak, len(link.pending))
+            assert peak == 2  # the window filled, so dispatch waited
+            inline.drain()
+            miner.drain()
+            assert miner.frequent_items(SUPPORT) == \
+                inline.frequent_items(SUPPORT)
+            assert [miner.estimate(v) for v in KIND_PROBES] == \
+                [inline.estimate(v) for v in KIND_PROBES]
+            shards = miner.metrics.shards
+            assert sum(s.pickle_batches for s in shards) == \
+                sum(s.batches for s in shards) == N // 500 * 2
+        finally:
+            miner.close()
+
+    def test_batch_larger_than_the_old_ring(self):
+        # 2**20 float32 was the per-shard shared-memory arena.
+        data = uniform_stream((1 << 20) + 1, seed=5)
+        kwargs = dict(num_shards=1, backend="cpu", eps=0.01)
+        inline = ShardedMiner("quantile", **kwargs)
+        inline.ingest(data)
+        inline.drain()
+        miner = MpShardedMiner("quantile", **kwargs)
+        try:
+            miner.ingest(data)
+            miner.drain()
+            assert [miner.quantile(phi) for phi in PHIS] == \
+                [inline.quantile(phi) for phi in PHIS]
+            assert miner.processed == data.size
+            assert miner.metrics.shards[0].pickle_batches == 1
+        finally:
+            miner.close()
 
 
 class TestNoBuiltinHash:

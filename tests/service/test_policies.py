@@ -24,7 +24,7 @@ class TestValidation:
         dict(breaker_cooldown_batches=0),
         dict(max_restarts=-1),
         dict(snapshot_every=0),
-        dict(small_batch_elements=-1),
+        dict(max_inflight_batches=-1),
         dict(max_inflight_batches=0),
         dict(ready_timeout=0.0),
         dict(heartbeat_interval=0.0),

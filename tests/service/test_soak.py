@@ -5,15 +5,15 @@ fixed wall-clock window of continuous ingest and then checks the
 properties that only show up under sustained load:
 
 * **bounded queues** — the async queue depth never exceeds its
-  configured bound, and the mp replay log and shm ring stay bounded
-  (the periodic worker snapshot truncates replay; acks recycle ring
-  slots);
+  configured bound, and the mp replay log and in-flight window stay
+  bounded (the periodic worker snapshot truncates replay; dispatch
+  waits on acks once ``max_inflight_batches`` are unacknowledged);
 * **conservation** — every acked element is in the pool afterwards:
   ``processed == accepted`` after a drain, nothing shed, nothing lost;
 * **stable memory** — parent RSS growth over the run stays small
   (leaked batch buffers or an unbounded replay log would show here);
-* **clean shutdown** — worker processes exit 0 and leave no live
-  shared-memory segments.
+* **clean shutdown** — worker processes exit 0 with nothing left
+  unacknowledged.
 
 ``REPRO_BENCH_SMOKE`` (same knob as the benchmark suite) shrinks the
 soak window for constrained CI lanes.
@@ -73,17 +73,17 @@ class TestSoakMp:
                 sent += chunk.size
                 for link in miner._links:
                     # The replay log is bounded by the snapshot cadence
-                    # plus the in-flight window (itself bounded by the
-                    # ring, which backpressures when full); without the
-                    # periodic truncation it would grow with the stream.
+                    # plus the in-flight window (itself capped by
+                    # max_inflight_batches); without the periodic
+                    # truncation it would grow with the stream.
                     assert (len(link.replay)
                             <= miner.policies.snapshot_every
                             + len(link.pending) + 8)
-                    assert link.ring.live_segments <= len(link.pending)
+                    assert (len(link.pending)
+                            <= miner.policies.max_inflight_batches)
             miner.drain()
             rss_after = _rss_bytes()
             for link in miner._links:
-                assert link.ring.live_segments == 0
                 assert not link.pending
 
             metrics = miner.metrics
@@ -95,8 +95,11 @@ class TestSoakMp:
             assert all(s.healthy for s in metrics.shards)
             assert sum(s.failures for s in metrics.shards) == 0
             assert rss_after - rss_before < RSS_BUDGET_BYTES
-            # the transport actually exercised the shared-memory path
-            assert sum(s.shm_batches for s in metrics.shards) > 0
+            # every batch was pickled onto its worker's pipe
+            batches = sum(s.batches for s in metrics.shards)
+            assert batches > 0
+            assert sum(s.pickle_batches for s in metrics.shards) == batches
+            assert sum(s.shm_batches for s in metrics.shards) == 0
 
             links = list(miner._links)
             miner.close()
